@@ -58,6 +58,12 @@ class ConnManager {
     return protected_.contains(peer);
   }
 
+  /// True when `open` connections exceed a positive HighWater: the only
+  /// case in which `plan_trim` closes anything.
+  [[nodiscard]] bool above_high_water(std::size_t open) const noexcept {
+    return config_.high_water > 0 && open > static_cast<std::size_t>(config_.high_water);
+  }
+
   /// Given the currently open connections, return the ids to close so the
   /// table returns to LowWater.  Empty unless `open.size() > HighWater`.
   /// Candidates within the grace period or protected are skipped; remaining

@@ -6,9 +6,9 @@
 // here receive those change events synchronously.
 #pragma once
 
-#include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.hpp"
@@ -61,7 +61,8 @@ class Peerstore {
   [[nodiscard]] const Entry* find(const PeerId& peer) const;
   [[nodiscard]] bool supports(const PeerId& peer, std::string_view protocol) const;
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] const std::map<PeerId, Entry>& entries() const noexcept {
+  /// Unordered: callers needing an order sort the ids themselves.
+  [[nodiscard]] const std::unordered_map<PeerId, Entry>& entries() const noexcept {
     return entries_;
   }
 
@@ -70,7 +71,7 @@ class Peerstore {
  private:
   Entry& get_or_create(const PeerId& peer, SimTime now);
 
-  std::map<PeerId, Entry> entries_;
+  std::unordered_map<PeerId, Entry> entries_;
   std::vector<PeerstoreObserver*> observers_;
 };
 

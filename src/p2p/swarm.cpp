@@ -48,10 +48,7 @@ ConnectionId Swarm::open_connection(const PeerId& remote,
 
   // An immediate trim keeps the table under HighWater even between ticks,
   // matching go-libp2p's trim-on-connect watermark check.
-  if (config_.trim_enabled &&
-      open_.size() > static_cast<std::size_t>(conn_manager_.config().high_water)) {
-    trim_now();
-  }
+  trim_now();
   return id;
 }
 
@@ -108,7 +105,9 @@ void Swarm::remove_observer(SwarmObserver* observer) {
 }
 
 std::size_t Swarm::trim_now() {
-  if (!config_.trim_enabled) return 0;
+  // Checked before any snapshot is built: most ticks find the table at or
+  // below HighWater, where plan_trim would discard it unread.
+  if (!config_.trim_enabled || !conn_manager_.above_high_water(open_.size())) return 0;
   const auto plan = conn_manager_.plan_trim(open_connections(), simulation_.now());
   for (const ConnectionId id : plan) close_connection(id, CloseReason::kLocalTrim);
   return plan.size();

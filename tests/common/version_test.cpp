@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ipfs::common {
 namespace {
 
@@ -117,6 +119,10 @@ struct DirtyCase {
   const char* after;
   DirtyTransition expected;
 };
+
+// Names each case by its quadrant; without this, gtest prints the raw
+// pointer bytes and the discovered test names change from run to run.
+void PrintTo(const DirtyCase& c, std::ostream* os) { *os << to_string(c.expected); }
 
 class DirtyTransitionTest : public ::testing::TestWithParam<DirtyCase> {};
 

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <unordered_map>
+
+#include "common/rng.hpp"
 
 namespace ipfs::p2p {
 namespace {
@@ -114,6 +118,90 @@ TEST(ConnManager, ZeroHighWaterDisablesTrimming) {
   ConnManager manager(ConnManagerConfig::with_watermarks(0, 0));
   const auto connections = make_connections(10);
   EXPECT_TRUE(manager.plan_trim(views(connections), 1000 * kSecond).empty());
+}
+
+/// Reference victim order: plan_trim's rule with mix64 evaluated inside the
+/// comparator instead of stored once per candidate.
+std::vector<ConnectionId> reference_plan(const ConnManager& manager,
+                                         const std::vector<const Connection*>& open,
+                                         common::SimTime now) {
+  const ConnManagerConfig& config = manager.config();
+  std::vector<ConnectionId> to_close;
+  if (open.size() <= static_cast<std::size_t>(config.high_water)) return to_close;
+  struct Candidate {
+    const Connection* connection;
+    int tag_value;
+  };
+  std::vector<Candidate> candidates;
+  for (const Connection* connection : open) {
+    if (now - connection->opened < config.grace_period) continue;
+    if (manager.is_protected(connection->remote)) continue;
+    candidates.push_back({connection, manager.tag(connection->remote)});
+  }
+  std::size_t excess = open.size() - static_cast<std::size_t>(config.low_water);
+  std::sort(candidates.begin(), candidates.end(),
+            [now](const Candidate& a, const Candidate& b) {
+              if (a.tag_value != b.tag_value) return a.tag_value < b.tag_value;
+              return common::mix64(a.connection->id, static_cast<std::uint64_t>(now)) <
+                     common::mix64(b.connection->id, static_cast<std::uint64_t>(now));
+            });
+  for (const Candidate& candidate : candidates) {
+    if (excess == 0) break;
+    to_close.push_back(candidate.connection->id);
+    --excess;
+  }
+  return to_close;
+}
+
+TEST(ConnManager, VictimOrderMatchesTheReferenceComparatorAtKeyTies) {
+  const common::SimTime now = 1'000'000;
+  const auto key = [now](ConnectionId id) {
+    return common::mix64(id, static_cast<std::uint64_t>(now));
+  };
+  // The order key is not injective in the id: this pair ties at this salt.
+  // If mix64 changes, the export pins move too; fail here first.
+  ASSERT_EQ(key(12267), key(12353));
+  // Every id in 1..300k that shares its key with another (DESIGN.md §5).
+  std::unordered_map<std::uint64_t, ConnectionId> first_with_key;
+  std::set<ConnectionId> tied;
+  for (ConnectionId id = 1; id <= 300'000; ++id) {
+    const auto [it, inserted] = first_with_key.try_emplace(key(id), id);
+    if (!inserted) tied.insert({it->second, id});
+  }
+  EXPECT_EQ(tied.size(), 2u * 239u);
+  ASSERT_TRUE(tied.contains(12267) && tied.contains(12353));
+
+  ConnManager manager(ConnManagerConfig::with_watermarks(100, 300));
+  common::Rng rng(4242);
+  std::set<ConnectionId> ids = tied;
+  while (ids.size() < tied.size() + 300) ids.insert(1 + rng.uniform_u64(300'000));
+  std::vector<Connection> connections;
+  for (const ConnectionId id : ids) {
+    Connection& connection = connections.emplace_back();
+    connection.id = id;
+    connection.remote = PeerId::from_seed(id);
+    // Tied ids are untagged, unprotected and past grace, so all of them are
+    // victims and each tie decides which of its pair closes first.
+    connection.opened = 0;
+    if (tied.contains(id)) continue;
+    // One in ten of the others is still inside the 20 s grace period.
+    if (rng.uniform_u64(10) == 0) connection.opened = now - 5 * kSecond;
+    const std::uint64_t kind = rng.uniform_u64(8);
+    if (kind == 0) manager.protect(connection.remote);
+    if (kind == 1) manager.set_tag(connection.remote, 10);
+    if (kind == 2) manager.set_tag(connection.remote, 50);
+  }
+
+  // The swarm's table order is an input: check several of them.
+  auto open = views(connections);
+  for (int order = 0; order < 4; ++order) {
+    const auto plan = manager.plan_trim(open, now);
+    EXPECT_EQ(plan.size(), open.size() - 100);
+    EXPECT_EQ(plan, reference_plan(manager, open, now)) << "input order " << order;
+    const std::set<ConnectionId> victims(plan.begin(), plan.end());
+    EXPECT_TRUE(std::includes(victims.begin(), victims.end(), tied.begin(), tied.end()));
+    std::shuffle(open.begin(), open.end(), rng);
+  }
 }
 
 /// Property sweep: after applying the plan, the open count is LowWater

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ipfs::p2p {
 namespace {
 
@@ -66,6 +68,10 @@ TEST(Multiaddr, WebsocketToString) {
 struct RoundTripCase {
   const char* text;
 };
+
+// Names each case by its address text; without this, gtest prints the raw
+// pointer bytes and the discovered test names change from run to run.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.text; }
 
 class MultiaddrRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

@@ -149,6 +149,44 @@ TEST_F(SwarmTest, TrimHonoursProtection) {
   EXPECT_EQ(swarm.open_count(), 5u);
 }
 
+TEST_F(SwarmTest, TicksAtOrBelowHighWaterCloseNothing) {
+  swarm.start();
+  // Exactly HighWater = 4 open; every tick past the 20 s grace period would
+  // find victims if the trim ran at all.
+  for (int i = 2; i <= 5; ++i) {
+    swarm.open_connection(PeerId::from_seed(static_cast<std::uint64_t>(i)),
+                          remote_addr(static_cast<std::uint32_t>(i)),
+                          Direction::kInbound);
+  }
+  sim.run_until(120 * kSecond);  // twelve trim ticks
+  EXPECT_EQ(swarm.trim_now(), 0u);
+  swarm.close_connection(swarm.open_connections().front()->id, CloseReason::kLocalClose);
+  sim.run_until(240 * kSecond);
+  EXPECT_EQ(swarm.trim_now(), 0u);
+  EXPECT_EQ(swarm.open_count(), 3u);
+  ASSERT_EQ(log.closed.size(), 1u);
+  EXPECT_EQ(log.closed[0].reason, CloseReason::kLocalClose);
+  swarm.stop();
+}
+
+TEST(SwarmZeroHighWater, TrimNowReturnsZero) {
+  sim::Simulation sim;
+  Swarm swarm(sim, PeerId::from_seed(1),
+              Multiaddr{IpAddress::v4(1), Transport::kTcp, 4001},
+              {ConnManagerConfig::with_watermarks(0, 0), /*trim_enabled=*/true});
+  swarm.start();
+  for (int i = 2; i < 12; ++i) {
+    swarm.open_connection(PeerId::from_seed(static_cast<std::uint64_t>(i)),
+                          Multiaddr{IpAddress::v4(static_cast<std::uint32_t>(i)),
+                                    Transport::kTcp, 4001},
+                          Direction::kInbound);
+  }
+  sim.run_until(120 * kSecond);
+  EXPECT_EQ(swarm.trim_now(), 0u);
+  EXPECT_EQ(swarm.open_count(), 10u);
+  swarm.stop();
+}
+
 TEST_F(SwarmTest, OpenedTotalCounts) {
   for (int i = 0; i < 3; ++i) {
     const auto id = swarm.open_connection(PeerId::from_seed(2), remote_addr(2),
