@@ -15,11 +15,6 @@
 //                (publish counts and popularity-skewed fetch keys + gaps)
 //   campaign     sequential vs. ParallelTrialRunner wall-clock for a
 //                multi-seed campaign sweep
-//   sharded_campaign
-//                unsharded vs. intra-trial-sharded CampaignEngine
-//                wall-clock for one churned campaign (DESIGN.md §13);
-//                asserts the two exports are byte-identical before timing
-//                means anything
 //   phase_program
 //                scenario::PhaseProgram::rates_at lookups (the per-draw
 //                modulation hot path of DESIGN.md §14) plus the wall-clock
@@ -31,8 +26,7 @@
 //   --check-baseline  compare event_queue.ns_per_event against a committed
 //                     BENCH_core.json; exit 1 on a >25% regression (the
 //                     scheduler guardrail — see DESIGN.md §12) or when the
-//                     baseline predates the sharded_campaign or
-//                     phase_program sections
+//                     baseline predates the phase_program section
 // IPFS_SCALE / IPFS_SEED tune the campaign section (see bench/README.md).
 #include <algorithm>
 #include <chrono>
@@ -40,7 +34,6 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,8 +44,6 @@
 #include "dht/routing_table.hpp"
 #include "net/conditions.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/sharded.hpp"
-#include "runtime/worker_budget.hpp"
 #include "scenario/churn.hpp"
 #include "scenario/content.hpp"
 #include "scenario/phases.hpp"
@@ -469,69 +460,6 @@ CampaignNumbers bench_campaign(bool smoke) {
   return numbers;
 }
 
-// ---- sharded_campaign: unsharded vs. intra-trial-sharded engine -------------
-
-struct ShardedCampaignNumbers {
-  double scale = 0.0;
-  unsigned shards = 0;
-  unsigned workers = 0;
-  double sequential_ms = 0.0;
-  double sharded_ms = 0.0;
-};
-
-ShardedCampaignNumbers bench_sharded_campaign(bool smoke) {
-  namespace scenario = ipfs::scenario;
-  namespace runtime = ipfs::runtime;
-
-  // One churned campaign (the workload the slab precompute exists for),
-  // run twice: plain sequential engine, then with a ShardPlan injected.
-  // Byte-identity of the two exports is asserted before the timings are
-  // reported — a fast sharded engine that moved a byte is a bug, not a win.
-  scenario::CampaignConfig config;
-  config.period = scenario::PeriodSpec::P4();
-  config.period.duration = (smoke ? 1 : 6) * ipfs::common::kHour;
-  const double scale = std::getenv("IPFS_SCALE") != nullptr
-                           ? ipfs::bench::env_scale()
-                           : (smoke ? 0.005 : 0.05);
-  config.population = scenario::PopulationSpec::test_scale(scale);
-  config.seed = ipfs::bench::env_seed();
-  config.churn.emplace();  // default ChurnSpec: the lifecycle engine is live
-
-  ShardedCampaignNumbers numbers;
-  numbers.scale = scale;
-  numbers.shards = 4;
-  numbers.workers = runtime::WorkerBudget::hardware();
-
-  std::ostringstream sequential_out;
-  auto start = std::chrono::steady_clock::now();
-  {
-    ipfs::measure::JsonExportSink sink(sequential_out);
-    ipfs::bench::make_engine(config).run(sink);
-  }
-  numbers.sequential_ms = elapsed_ms(start);
-
-  std::ostringstream sharded_out;
-  start = std::chrono::steady_clock::now();
-  {
-    ipfs::measure::JsonExportSink sink(sharded_out);
-    runtime::ShardedCampaignRunner runner(
-        {.shards = numbers.shards, .workers = numbers.workers});
-    const auto outcome = runner.run(config, sink);
-    if (!outcome.has_value()) {
-      std::cerr << "sharded campaign failed: " << outcome.error() << "\n";
-      std::exit(1);
-    }
-  }
-  numbers.sharded_ms = elapsed_ms(start);
-
-  if (sequential_out.str() != sharded_out.str()) {
-    std::cerr << "sharded_campaign: export bytes diverged from the "
-                 "sequential oracle — determinism regression\n";
-    std::exit(1);
-  }
-  return numbers;
-}
-
 // ---- phase_program: rates_at lookups + campaign modulation overhead ---------
 
 struct PhaseProgramNumbers {
@@ -648,15 +576,6 @@ bool check_event_queue_baseline(const std::string& baseline_path,
   }
   // Field-coverage guard: a committed baseline must carry every section
   // the suite emits, or a regeneration quietly dropped one.
-  const ipfs::common::JsonValue* sharded = parsed->find("sharded_campaign");
-  if (sharded == nullptr || sharded->find("sharded_ms") == nullptr ||
-      sharded->find("sequential_ms") == nullptr ||
-      sharded->find("shards") == nullptr) {
-    std::cerr << "check-baseline: " << baseline_path
-              << " predates the sharded_campaign section — regenerate "
-              << "BENCH_core.json (bench/README.md)\n";
-    return false;
-  }
   const ipfs::common::JsonValue* phases = parsed->find("phase_program");
   if (phases == nullptr || phases->find("rates_ns_per_lookup") == nullptr ||
       phases->find("plain_campaign_ms") == nullptr ||
@@ -704,14 +623,14 @@ int main(int argc, char** argv) {
   ipfs::bench::print_header("Core performance suite",
                             "perf trajectory (BENCH_core.json), not a paper figure");
 
-  std::cout << "[1/8] lookup: RoutingTable::closest ...\n";
+  std::cout << "[1/7] lookup: RoutingTable::closest ...\n";
   const LookupNumbers lookup = bench_lookup(smoke);
   std::cout << "      table=" << lookup.table_size << " peers, "
             << lookup.closest_ns << " ns/query (sort-everything baseline: "
             << lookup.baseline_ns << " ns/query, "
             << lookup.baseline_ns / lookup.closest_ns << "x)\n";
 
-  std::cout << "[2/8] event queue: schedule + drain ...\n";
+  std::cout << "[2/7] event queue: schedule + drain ...\n";
   const EventQueueNumbers events = bench_event_queue(smoke);
   std::cout << "      " << events.events << " events, " << events.ns_per_event
             << " ns/event bulk (" << 1e9 / events.ns_per_event
@@ -720,23 +639,23 @@ int main(int argc, char** argv) {
             << events.heap_ns_per_event << " ns/event ("
             << events.speedup_vs_heap << "x)\n";
 
-  std::cout << "[3/8] conditions: ConditionModel sampling ...\n";
+  std::cout << "[3/7] conditions: ConditionModel sampling ...\n";
   const ConditionNumbers conditions = bench_conditions(smoke);
   std::cout << "      " << conditions.samples << " samples, "
             << conditions.one_way_ns << " ns/one_way, " << conditions.gate_ns
             << " ns/dial_allowed\n";
 
-  std::cout << "[4/8] churn_model: ChurnModel sampling ...\n";
+  std::cout << "[4/7] churn_model: ChurnModel sampling ...\n";
   const ChurnModelNumbers churn = bench_churn_model(smoke);
   std::cout << "      " << churn.samples << " samples, " << churn.session_ns
             << " ns/session, " << churn.gap_ns << " ns/gap\n";
 
-  std::cout << "[5/8] content_model: ContentModel sampling ...\n";
+  std::cout << "[5/7] content_model: ContentModel sampling ...\n";
   const ContentModelNumbers content = bench_content_model(smoke);
   std::cout << "      " << content.samples << " samples, " << content.publish_ns
             << " ns/publish-chain, " << content.fetch_ns << " ns/fetch-chain\n";
 
-  std::cout << "[6/8] campaign: sequential vs parallel sweep ...\n";
+  std::cout << "[6/7] campaign: sequential vs parallel sweep ...\n";
   const CampaignNumbers campaign = bench_campaign(smoke);
   std::cout << "      " << campaign.trials << " trials @ scale "
             << campaign.scale << ": sequential " << campaign.sequential_ms
@@ -744,14 +663,7 @@ int main(int argc, char** argv) {
             << campaign.workers << " workers, "
             << campaign.sequential_ms / campaign.parallel_ms << "x)\n";
 
-  std::cout << "[7/8] sharded_campaign: unsharded vs sharded engine ...\n";
-  const ShardedCampaignNumbers sharded = bench_sharded_campaign(smoke);
-  std::cout << "      scale " << sharded.scale << ": sequential "
-            << sharded.sequential_ms << " ms, sharded " << sharded.sharded_ms
-            << " ms (" << sharded.shards << " shards, " << sharded.workers
-            << " workers, exports byte-identical)\n";
-
-  std::cout << "[8/8] phase_program: rates_at lookups + campaign overhead ...\n";
+  std::cout << "[7/7] phase_program: rates_at lookups + campaign overhead ...\n";
   const PhaseProgramNumbers phases = bench_phase_program(smoke);
   std::cout << "      " << phases.samples << " lookups, " << phases.rates_ns
             << " ns/rates_at; campaign plain " << phases.plain_ms
@@ -821,29 +733,6 @@ int main(int argc, char** argv) {
                "path degenerates to the sequential loop plus per-trial "
                "stream buffering, so a speedup figure would only measure "
                "buffering overhead and is omitted");
-  }
-  json.end_object();
-  json.key("sharded_campaign");
-  json.begin_object();
-  json.field("scale", sharded.scale);
-  json.field("shards", static_cast<std::uint64_t>(sharded.shards));
-  json.field("workers", static_cast<std::uint64_t>(sharded.workers));
-  json.field("hardware_concurrency",
-             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
-  json.field("sequential_ms", sharded.sequential_ms);
-  json.field("sharded_ms", sharded.sharded_ms);
-  json.field("bytes_identical", true);  // asserted above, or we exited
-  // Same single-core policy as the campaign section: without a second
-  // core the fan-outs serialize onto the caller and a speedup figure
-  // would only measure pool overhead.
-  if (std::thread::hardware_concurrency() > 1) {
-    json.field("speedup", sharded.sequential_ms / sharded.sharded_ms);
-  } else {
-    json.field("note",
-               "single-core host (see hardware_concurrency): shard "
-               "fan-outs serialize onto the calling thread, so a speedup "
-               "figure would only measure fork-join overhead and is "
-               "omitted");
   }
   json.end_object();
   json.key("phase_program");

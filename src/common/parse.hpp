@@ -4,7 +4,7 @@
 // through infinities, and leaves sign policy to every call site.  These
 // helpers centralise one strict contract — the whole token must parse,
 // the value must be finite and in range — and return the rejection reason
-// so `tools/ipfs_sim.cpp` can print "--shards: trailing characters after
+// so `tools/ipfs_sim.cpp` can print "--trials: trailing characters after
 // number: '4x'" instead of swallowing the suffix.
 #pragma once
 

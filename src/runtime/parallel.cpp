@@ -7,8 +7,6 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/worker_budget.hpp"
-
 namespace ipfs::runtime {
 
 namespace {
@@ -46,19 +44,6 @@ void run_pool(std::size_t task_count, unsigned workers,
   for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
-}
-
-/// The worker count a runner's options yield for `trial_count` trials,
-/// with auto (0) counts additionally leased from the process-wide
-/// `WorkerBudget` so concurrent sweeps and nested sharded engines share
-/// one hardware budget (DESIGN.md §13).  Explicit counts are honoured as
-/// given — callers asking for N workers get N.  The lease rides in
-/// `lease` and frees on scope exit.
-unsigned budgeted_workers(unsigned requested, bool automatic,
-                          WorkerLease& lease) {
-  if (!automatic) return requested;
-  lease = WorkerBudget::process().lease(requested);
-  return lease.granted();
 }
 
 /// Build the engine for one already-validated trial.  validate() ran
@@ -112,10 +97,7 @@ std::expected<void, std::string> ParallelTrialRunner::run(
 
   // One buffering sink per trial; workers never touch the caller's sink.
   std::vector<measure::ReplaySink> buffers(trials.size());
-  WorkerLease lease;
-  run_pool(trials.size(),
-           budgeted_workers(resolve_workers(trials.size()),
-                            options_.workers == 0, lease),
+  run_pool(trials.size(), resolve_workers(trials.size()),
            [&](std::size_t i) { make_engine(trials[i]).run(buffers[i]); });
 
   // Ordered merge: trial 0's complete stream, then trial 1's, … — the same
@@ -129,10 +111,7 @@ std::expected<std::vector<TrialResult>, std::string> ParallelTrialRunner::run(
   if (auto error = validate(trials)) return std::unexpected(std::move(*error));
 
   std::vector<TrialResult> results(trials.size());
-  WorkerLease lease;
-  run_pool(trials.size(),
-           budgeted_workers(resolve_workers(trials.size()),
-                            options_.workers == 0, lease),
+  run_pool(trials.size(), resolve_workers(trials.size()),
            [&](std::size_t i) {
              scenario::CampaignResultSink collector;
              make_engine(trials[i]).run(collector);

@@ -74,12 +74,10 @@ class ParallelTrialRunner {
   [[nodiscard]] std::expected<std::vector<TrialResult>, std::string> run(
       std::vector<TrialSpec> trials);
 
-  /// The worker count `run` requests for `trial_count` trials.  Auto
-  /// counts (options.workers == 0) are additionally leased from the
-  /// process-wide `runtime::WorkerBudget` at run time, so nested sharded
-  /// engines (scenario::ShardPlan) and concurrent sweeps never commit
-  /// more than hardware concurrency between them; explicit counts are
-  /// honoured as given (DESIGN.md §13).
+  /// The worker count `run` uses for `trial_count` trials: the explicit
+  /// count, or hardware concurrency when auto (0), clamped to
+  /// [1, trial count].  One trial runs on one core (DESIGN.md §13), so
+  /// this is the whole of the runner's parallelism.
   [[nodiscard]] unsigned resolve_workers(std::size_t trial_count) const noexcept;
 
  private:

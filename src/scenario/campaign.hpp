@@ -41,34 +41,6 @@ namespace ipfs::scenario {
 /// One active-crawler snapshot (the Fig. 2 baseline).
 using CrawlSnapshot = measure::CrawlObservation;
 
-/// Deterministic intra-trial sharding of the remote population
-/// (DESIGN.md §13).  The engine's event loop stays single-threaded and
-/// structurally identical to the unsharded engine; what shards is the
-/// *pure* whole-population work — slab-stepped churn-chain precompute,
-/// sample tallies, crawler classification — fanned across contiguous
-/// population slices on a fork-join `runtime::ShardPool` and merged in
-/// canonical ascending shard order.  The export is byte-identical to the
-/// unsharded run at ANY shard count and ANY worker count (the sequential
-/// engine is the oracle; enforced by `ctest -L shard`).
-struct ShardPlan {
-  /// Contiguous population slices advanced per fan-out.  Must be >= 1;
-  /// 1 still engages the sharded code path (useful for tests).
-  unsigned shards = 1;
-
-  /// Worker threads driving the shard fan-outs.  0 resolves through the
-  /// process-wide `runtime::WorkerBudget`, which nested
-  /// `ParallelTrialRunner` sweeps share so trials x shards never exceeds
-  /// hardware concurrency; explicit values are honoured as given.
-  /// Clamped to `shards` either way.
-  unsigned workers = 0;
-
-  /// Precompute slab: churned lifecycle chains are extended this far
-  /// ahead of the clock whenever a peer's buffered chain runs dry, which
-  /// bounds buffer memory on 14-day runs.  Must be > 0.  The slab length
-  /// never changes output bytes — only when the precompute work happens.
-  common::SimDuration slab = 6 * common::kHour;
-};
-
 /// Campaign configuration.
 struct CampaignConfig {
   PeriodSpec period = PeriodSpec::P4();
@@ -123,18 +95,10 @@ struct CampaignConfig {
   /// DESIGN.md §14): piecewise rate multipliers — ramps, bursts, flash
   /// crowds — folded into the engine's per-draw sampling sites.  Every
   /// modulated draw stays a pure function of (node, index, phase, seed),
-  /// so sweeps and sharded runs remain byte-identical at any worker or
-  /// shard count.  nullopt leaves every rate constant: behaviour is
+  /// so sweeps remain byte-identical at any worker count.  nullopt leaves every rate constant: behaviour is
   /// bit-for-bit identical to the pre-phases code path (hash-pinned by
   /// tests/integration/golden_determinism_test.cpp).
   std::optional<PhaseProgramSpec> phases;
-
-  /// Optional intra-trial sharding (DESIGN.md §13).  nullopt runs the
-  /// classic sequential engine; engaged, the export stays byte-identical
-  /// at any `shards`/`workers` (hash-pinned by `ctest -L shard`), so this
-  /// is purely an execution knob — scenario JSON never carries it, the
-  /// `ipfs_sim --shards` flag and `runtime::ShardedCampaignRunner` do.
-  std::optional<ShardPlan> sharding;
 };
 
 /// Datasets and baselines produced by a campaign run (the all-in-memory

@@ -18,9 +18,8 @@
 //                  phase) to this phase's target over the hold window.
 //   - burst:       a square wave toggling between the target ("hi") and the
 //                  previous phase's endpoint ("lo") every `switch_interval`,
-//                  starting hi at the phase start; edges are left-closed so
-//                  with `switch_interval` equal to a shard slab they land
-//                  exactly on slab boundaries.
+//                  starting hi at the phase start; edges are left-closed
+//                  (a switch instant belongs to the new half-wave).
 //   - flash_crowd: a hold whose fetch traffic is additionally multiplied by
 //                  `spike` and redirected to `hot_key` with probability
 //                  `hot_fraction` (a pure per-(node, fetch) hash).
@@ -34,8 +33,8 @@
 // Determinism contract (DESIGN.md §5/§14): `rates_at` is a pure function
 // of the query time and the spec — no mutable state — so every engine
 // sampling site stays a pure function of (node, index, phase, seed) and
-// `runtime::ParallelTrialRunner` sweeps and `ShardPlan` runs remain
-// byte-identical at any worker or shard count.  The program clock is the
+// `runtime::ParallelTrialRunner` sweeps remain byte-identical at any
+// worker count.  The program clock is the
 // absolute simulation clock: phase boundaries sit at cumulative hold
 // offsets from t = 0 and never rebase `churn.diurnal`'s `phase_ms` offset
 // (see `ChurnModel::rate_multiplier`); combining a churn-modulating

@@ -182,24 +182,6 @@ TEST(GoldenDeterminism, CombinedChurnContentExportMatchesPinnedHash) {
       << "combined churn+content export drifted from its pre-ladder-queue pin";
 }
 
-TEST(GoldenDeterminism, ShardedRunsReproduceTheSamePins) {
-  // Intra-trial sharding (DESIGN.md §13) is an execution knob, not a new
-  // golden lineage: with a ShardPlan engaged the engine must land on the
-  // very hashes pinned above.  The full shard x worker grid lives in
-  // `ctest -L shard`; this is the cross-check that keeps the sharded path
-  // chained to this file's constants.
-  const auto sharded_builtin = [](const char* name) {
-    ScenarioSpec spec = *ScenarioSpec::builtin(name);
-    spec.population.scale = kScale;
-    return testing::run_sharded_json(spec.to_campaign_config(), 4, 2);
-  };
-  EXPECT_EQ(common::hash64(sharded_builtin("p4")), 0xcf1669de66317e98ULL)
-      << "sharded p4 export drifted from the sequential pin";
-  EXPECT_EQ(common::hash64(sharded_builtin("churn-baseline")),
-            0x99fa022fd1bc8a95ULL)
-      << "sharded churn-baseline export drifted from the sequential pin";
-}
-
 TEST(GoldenDeterminism, CombinedChurnContentSweepPinnedAndWorkerInvariant) {
   // Three-trial sweep of the combined scenario: byte-identical at 1, 2 and
   // 4 workers, and the worker-1 bytes themselves are pinned (recorded on

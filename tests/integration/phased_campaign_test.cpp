@@ -3,9 +3,8 @@
 //
 // 1. The flash-crowd builtin's export is hash-pinned at the CI smoke
 //    scale and must stay byte-identical across `ParallelTrialRunner`
-//    worker counts {1, 2, 4} and `ShardPlan` shard counts {1, 4} — the
-//    phase lookups are pure functions of (node, index, phase, seed), so
-//    no execution knob may move a byte.
+//    worker counts {1, 2, 4} — the phase lookups are pure functions of
+//    (node, index, phase, seed), so the worker count may not move a byte.
 // 2. Every phased builtin must actually change the output against its
 //    phases-stripped twin (no dead modulation paths), and the export must
 //    carry the per-phase breakdown document.
@@ -26,7 +25,6 @@ namespace ipfs::scenario {
 namespace {
 
 using testing::run_builtin;
-using testing::run_sharded_json;
 using testing::run_to_json;
 
 constexpr double kScale = 0.002;  // the CI smoke scale; minutes -> seconds
@@ -35,8 +33,7 @@ constexpr double kScale = 0.002;  // the CI smoke scale; minutes -> seconds
 /// default seed — vantage dataset, sample documents, and the trailing
 /// phase_breakdown document — recorded when `scenario::PhaseProgram`
 /// landed.  Every phase-modulated draw is pure per (node, index, phase,
-/// seed), so this must never move — across worker counts, shard counts,
-/// or rebuilds.
+/// seed), so this must never move — across worker counts or rebuilds.
 constexpr std::uint64_t kFlashCrowdPin = 0x1aaf008db917b14cULL;
 
 TEST(PhasedCampaign, FlashCrowdExportMatchesPinnedHash) {
@@ -77,32 +74,6 @@ TEST(PhasedCampaign, SweepByteIdenticalAcrossWorkerCounts) {
     spec.campaign.trials = 3;
     testing::expect_sweep_worker_invariant(spec);
   }
-}
-
-TEST(PhasedCampaign, ShardedRunsReproduceThePin) {
-  // Intra-trial sharding is an execution knob, not a golden lineage: with
-  // a ShardPlan engaged (any shard x worker point) the phased engine must
-  // land on the sequential pin above.
-  ScenarioSpec spec = *ScenarioSpec::builtin("flash-crowd");
-  spec.population.scale = kScale;
-  for (const unsigned shards : {1u, 4u}) {
-    for (const unsigned workers : {1u, 2u, 4u}) {
-      EXPECT_EQ(common::hash64(run_sharded_json(spec.to_campaign_config(),
-                                                shards, workers)),
-                kFlashCrowdPin)
-          << "shards=" << shards << " workers=" << workers;
-    }
-  }
-}
-
-TEST(PhasedCampaign, LoadRampShardedMatchesSequentialBytes) {
-  // The ramp interpolates across slab boundaries — the sharded bytes must
-  // still equal the sequential run's exactly.
-  ScenarioSpec spec = *ScenarioSpec::builtin("load-ramp");
-  spec.population.scale = kScale;
-  const std::string sequential = run_to_json(spec.to_campaign_config());
-  ASSERT_FALSE(sequential.empty());
-  EXPECT_EQ(run_sharded_json(spec.to_campaign_config(), 4, 2), sequential);
 }
 
 // ---- the --duration truncation fix ------------------------------------------

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <sstream>
+#include <thread>
 
 #include "measure/sink.hpp"
 
@@ -151,6 +153,21 @@ TEST(ParallelTrialRunner, InvalidCellRejectsWholeBatch) {
   // Nothing ran: an invalid sweep must not partially execute.
   EXPECT_TRUE(sink.datasets().empty());
   EXPECT_TRUE(sink.crawls().empty());
+}
+
+TEST(ParallelTrialRunner, ResolveWorkersClampsToTrialCountAndHardware) {
+  // The runner's whole parallelism: explicit counts clamp to the trial
+  // count, auto (0) takes hardware concurrency, and at least one worker
+  // always runs.
+  const ParallelTrialRunner explicit8(ParallelTrialRunner::Options{.workers = 8});
+  EXPECT_EQ(explicit8.resolve_workers(3), 3u);
+  EXPECT_EQ(explicit8.resolve_workers(0), 1u);
+
+  const ParallelTrialRunner automatic;
+  EXPECT_EQ(automatic.resolve_workers(1), 1u);
+  EXPECT_EQ(automatic.resolve_workers(0), 1u);
+  EXPECT_EQ(automatic.resolve_workers(1000),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace

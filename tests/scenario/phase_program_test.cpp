@@ -1,7 +1,7 @@
 // `scenario::PhaseProgram` semantics: boundary placement, ramp
 // continuity, burst square-wave edges, flash-crowd locality, and the
 // tail-hold rule (DESIGN.md §14).  These are the pure-lookup properties
-// the campaign engine's byte-identical sharding leans on — `rates_at`
+// the campaign engine's worker-count byte-invariance leans on — `rates_at`
 // must answer identically for any caller at any time.
 #include <gtest/gtest.h>
 

@@ -60,20 +60,6 @@ inline std::string run_builtin(const char* name, double scale) {
   return run_to_json(spec.to_campaign_config());
 }
 
-/// `run_to_json` with an intra-trial `ShardPlan` injected (DESIGN.md §13).
-/// `slab == 0` keeps the plan's default slab.  The shard-invariance suites
-/// compare these bytes against the plain sequential `run_to_json`.
-inline std::string run_sharded_json(scenario::CampaignConfig config,
-                                    unsigned shards, unsigned workers,
-                                    common::SimDuration slab = 0) {
-  scenario::ShardPlan plan;
-  plan.shards = shards;
-  plan.workers = workers;
-  if (slab > 0) plan.slab = slab;
-  config.sharding = plan;
-  return run_to_json(config);
-}
-
 /// Run the spec's seed sweep through `ParallelTrialRunner` with the given
 /// worker count and return the merged JSON-export bytes — the probe the
 /// worker-count-invariance tests compare across {1, 2, 4}.

@@ -18,20 +18,17 @@
 //   --scale X      override the population scale (CI smoke runs use this)
 //   --duration S   override the measured period, in simulated seconds
 //                  (CI smoke runs pair a huge --scale with a short window)
-//   --shards N     intra-trial population shards (0 = one per core); the
-//                  export is byte-identical at any count (DESIGN.md §13)
-//   --shard-workers N
-//                  threads driving the shard fan-outs (0 = lease from the
-//                  process worker budget, shared with --workers)
-//   --slab SECONDS churn-chain precompute slab, in simulated seconds
 //   --quiet        suppress the progress summary on stderr
 //
-// Single-trial runs execute on a `scenario::CampaignEngine` directly
-// (through `runtime::ShardedCampaignRunner` when --shards is given);
+// `run` exits 2 on hostile input — a bad option, a scenario that is
+// missing, malformed or (after the overrides) invalid — and 1 on a
+// runtime failure: an output file that cannot be opened, a write error,
+// or an engine/runner error.
+//
+// Single-trial runs execute on a `scenario::CampaignEngine` directly;
 // multi-trial sweeps go through `runtime::ParallelTrialRunner`, whose
 // merged output is byte-identical to the sequential loop at any worker
-// count — with --shards, each trial's engine additionally fans its
-// population across shards, still without moving a byte.
+// count.  One trial always runs on one core (DESIGN.md §13).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -48,7 +45,6 @@
 #include "common/parse.hpp"
 #include "measure/sink.hpp"
 #include "runtime/parallel.hpp"
-#include "runtime/sharded.hpp"
 #include "runtime/testbed.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/scenario_spec.hpp"
@@ -70,8 +66,7 @@ int usage(std::ostream& out, int code) {
          "  validate FILE...         parse + validate scenario files\n"
          "  run SCENARIO [options]   run a scenario file or builtin name\n"
          "      --out FILE --workers N --trials N --seed S --scale X\n"
-         "      --duration SECONDS --shards N --shard-workers N\n"
-         "      --slab SECONDS --quiet\n"
+         "      --duration SECONDS --quiet\n"
          "  export NAME|--all [--dir DIR | --out FILE]\n"
          "                           write builtin spec(s) as JSON\n"
          "  calibrate TRACE [options]\n"
@@ -88,7 +83,7 @@ int usage(std::ostream& out, int code) {
 
 // Strict option parsing (common/parse.hpp): the whole token must parse,
 // negatives / trailing garbage / inf / overflow are rejected, and the
-// error names the option — "--shards: trailing characters after number:
+// error names the option — "--trials: trailing characters after number:
 // '4x'" instead of a silently truncated value or a misleading "unknown
 // option".
 
@@ -286,9 +281,6 @@ int cmd_run(const std::vector<std::string>& args) {
   std::optional<std::uint64_t> seed_override;
   std::optional<double> scale_override;
   std::optional<double> duration_override;  // simulated seconds
-  std::optional<std::uint32_t> shards;
-  std::uint32_t shard_workers = 0;        // 0 = lease from the worker budget
-  std::optional<double> slab_seconds;     // simulated seconds
   bool quiet = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -298,8 +290,7 @@ int cmd_run(const std::vector<std::string>& args) {
     }
     const bool takes_value =
         arg == "--out" || arg == "--workers" || arg == "--trials" ||
-        arg == "--seed" || arg == "--scale" || arg == "--duration" ||
-        arg == "--shards" || arg == "--shard-workers" || arg == "--slab";
+        arg == "--seed" || arg == "--scale" || arg == "--duration";
     if (!takes_value) {
       std::cerr << "ipfs_sim run: unknown option '" << arg << "'\n";
       return 2;
@@ -329,32 +320,18 @@ int cmd_run(const std::vector<std::string>& args) {
       double scale = 0.0;
       if (!option_positive(arg, value, scale)) return 2;
       scale_override = scale;
-    } else if (arg == "--duration") {
+    } else {  // --duration
       double seconds = 0.0;
       if (!option_positive(arg, value, seconds)) return 2;
       duration_override = seconds;
-    } else if (arg == "--shards") {
-      std::uint32_t count = 0;
-      if (!option_u32(arg, value, count)) return 2;
-      shards = count;
-    } else if (arg == "--shard-workers") {
-      if (!option_u32(arg, value, shard_workers)) return 2;
-    } else {  // --slab
-      double seconds = 0.0;
-      if (!option_positive(arg, value, seconds)) return 2;
-      slab_seconds = seconds;
     }
-  }
-  if ((shard_workers != 0 || slab_seconds) && !shards) {
-    std::cerr << "ipfs_sim run: --shard-workers/--slab need --shards\n";
-    return 2;
   }
 
   std::string error;
   auto loaded = load_scenario(ref, error);
   if (!loaded) {
     std::cerr << "ipfs_sim run: " << error << "\n";
-    return 1;
+    return 2;
   }
   ScenarioSpec spec = std::move(*loaded);
   if (workers_override) spec.campaign.workers = *workers_override;
@@ -366,7 +343,7 @@ int cmd_run(const std::vector<std::string>& args) {
   }
   if (auto invalid = ScenarioSpec::validate(spec)) {
     std::cerr << "ipfs_sim run: " << *invalid << "\n";
-    return 1;
+    return 2;
   }
 
   std::ofstream file_out;
@@ -393,49 +370,21 @@ int cmd_run(const std::vector<std::string>& args) {
               << spec.population.scale << ", seed " << spec.campaign.seed << "\n";
   }
 
-  // --shards resolves to a ShardPlan through the sharded runner, so
-  // defaults (0 -> one shard per core, 6 h slab) live in one place.
-  ipfs::runtime::ShardedCampaignRunner::Options shard_options;
-  if (shards) {
-    shard_options.shards = *shards;
-    shard_options.workers = shard_workers;
-    if (slab_seconds) {
-      shard_options.slab = ipfs::common::from_seconds(*slab_seconds);
-    }
-  }
-
   const auto start = std::chrono::steady_clock::now();
   if (spec.campaign.trials == 1) {
-    if (shards) {
-      ipfs::runtime::ShardedCampaignRunner runner(shard_options);
-      auto outcome = runner.run(spec.to_campaign_config(), sink);
-      if (!outcome) {
-        std::cerr << "ipfs_sim run: " << outcome.error() << "\n";
-        return 1;
-      }
-    } else {
-      auto engine = CampaignEngine::create(spec.to_campaign_config());
-      if (!engine) {
-        std::cerr << "ipfs_sim run: " << engine.error() << "\n";
-        return 1;
-      }
-      engine->run(sink);
+    auto engine = CampaignEngine::create(spec.to_campaign_config());
+    if (!engine) {
+      std::cerr << "ipfs_sim run: " << engine.error() << "\n";
+      return 1;
     }
+    engine->run(sink);
   } else {
     const auto seeds = spec.trial_seeds();
     ParallelTrialRunner::Options options;
     options.workers = spec.campaign.workers;
     ParallelTrialRunner runner(options);
-    auto base = spec.to_campaign_config();
-    if (shards) {
-      // Each trial's engine shards its population; auto worker counts
-      // lease from the same process budget the trial pool draws on, so
-      // trials x shards never oversubscribes the machine.
-      base.sharding =
-          ipfs::runtime::ShardedCampaignRunner(shard_options).resolve_plan();
-    }
-    auto outcome =
-        runner.run(ParallelTrialRunner::seed_sweep(std::move(base), seeds), sink);
+    auto outcome = runner.run(
+        ParallelTrialRunner::seed_sweep(spec.to_campaign_config(), seeds), sink);
     if (!outcome) {
       std::cerr << "ipfs_sim run: " << outcome.error() << "\n";
       return 1;
