@@ -158,6 +158,231 @@ TEST(ScenarioSpec, RejectsInvalidSpecs) {
   }
 }
 
+struct PinnedError {
+  const char* document;
+  const char* error;
+};
+
+// Whole-string pins for every parse-stage message: reader kinds, each
+// section's shape and unknown-field errors, the enum errors, and the
+// first-error-wins order where hand-written code sits between fields.
+TEST(ScenarioSpec, ErrorMessagesArePinnedExactly) {
+  const PinnedError cases[] = {
+      // One row per reader kind.
+      {R"({"name":"x","period":{"go_ipfs":{"present":1}}})",
+       "period.go_ipfs.present: expected true or false"},
+      {R"({"name":"x","population":{"scale":"big"}})",
+       "population.scale: expected a number"},
+      {R"({"name":7})", "name: expected a string"},
+      {R"({"name":"x","period":{"name":5}})", "period.name: expected a string"},
+      {R"({"name":"x","population":{"counts":{"crawlers":4294967296}}})",
+       "population.counts.crawlers: expected an integer in [0, 2^32)"},
+      {R"({"name":"x","campaign":{"seed":-1}})",
+       "campaign.seed: expected a non-negative integer"},
+      {R"({"name":"x","period":{"hydra":{"heads":1.5}}})",
+       "period.hydra.heads: expected an integer"},
+      {R"({"name":"x","period":{"duration_ms":"3d"}})",
+       "period.duration_ms: expected an integer number of milliseconds"},
+      // Document, period, go_ipfs, hydra.
+      {R"([])", "document: expected an object, got array"},
+      {R"({"name":"x","bogus":1})", "document: unknown field 'bogus'"},
+      {R"({"name":"x","period":3})", "period: expected an object, got number"},
+      {R"({"name":"x","period":{"bogus":1}})", "period: unknown field 'bogus'"},
+      {R"({"name":"x","period":{"go_ipfs":[]}})",
+       "period.go_ipfs: expected an object, got array"},
+      {R"({"name":"x","period":{"go_ipfs":{"bogus":1}}})",
+       "period.go_ipfs: unknown field 'bogus'"},
+      {R"({"name":"x","period":{"hydra":"two"}})",
+       "period.hydra: expected an object, got string"},
+      {R"({"name":"x","period":{"hydra":{"bogus":1}}})",
+       "period.hydra: unknown field 'bogus'"},
+      // Population, counts, categories.
+      {R"({"name":"x","population":null})",
+       "population: expected an object, got null"},
+      {R"({"name":"x","population":{"bogus":1}})",
+       "population: unknown field 'bogus'"},
+      {R"({"name":"x","population":{"counts":true}})",
+       "population.counts: expected an object, got bool"},
+      {R"({"name":"x","population":{"counts":{"bogus":1}}})",
+       "population.counts: unknown field 'bogus'"},
+      {R"({"name":"x","population":{"categories":[]}})",
+       "population.categories: expected an object, got array"},
+      {R"({"name":"x","population":{"categories":{"warthog":{}}}})",
+       "population.categories: unknown category name 'warthog'"},
+      {R"({"name":"x","population":{"categories":{"crawler":5}}})",
+       "population.categories.crawler: expected an object, got number"},
+      {R"({"name":"x","population":{"categories":{"crawler":{"bogus":1}}}})",
+       "population.categories.crawler: unknown field 'bogus'"},
+      // Network and its subsections.
+      {R"({"name":"x","network":[]})", "network: expected an object, got array"},
+      {R"({"name":"x","network":{"bogus":1}})", "network: unknown field 'bogus'"},
+      {R"({"name":"x","network":{"latency":1}})",
+       "network.latency: expected an object, got number"},
+      {R"({"name":"x","network":{"latency":{"bogus":1}}})",
+       "network.latency: unknown field 'bogus'"},
+      {R"({"name":"x","network":{"zones":{}}})", "network.zones: expected an array"},
+      {R"({"name":"x","network":{"zones":[1]}})",
+       "network.zones[0]: expected an object, got number"},
+      {R"({"name":"x","network":{"zones":[{"name":"eu"},{"bogus":1}]}})",
+       "network.zones[1]: unknown field 'bogus'"},
+      {R"({"name":"x","network":{"default_link":[]}})",
+       "network.default_link: expected an object, got array"},
+      {R"({"name":"x","network":{"default_link":{"bogus":1}}})",
+       "network.default_link: unknown field 'bogus'"},
+      {R"({"name":"x","network":{"links":"eu-na"}})",
+       "network.links: expected an array"},
+      {R"({"name":"x","network":{"links":[null]}})",
+       "network.links[0]: expected an object, got null"},
+      {R"({"name":"x","network":{"links":[{"bogus":1}]}})",
+       "network.links[0]: unknown field 'bogus'"},
+      {R"({"name":"x","network":{"loss":0.1}})",
+       "network.loss: expected an object, got number"},
+      {R"({"name":"x","network":{"loss":{"bogus":1}}})",
+       "network.loss: unknown field 'bogus'"},
+      {R"({"name":"x","network":{"nat":[]}})",
+       "network.nat: expected an object, got array"},
+      {R"({"name":"x","network":{"nat":{"bogus":1}}})",
+       "network.nat: unknown field 'bogus'"},
+      {R"({"name":"x","network":{"nat":{"classes":{}}}})",
+       "network.nat.classes: expected an array"},
+      {R"({"name":"x","network":{"nat":{"classes":["public"]}}})",
+       "network.nat.classes[0]: expected an object, got string"},
+      {R"({"name":"x","network":{"nat":{"classes":[{"bogus":1}]}}})",
+       "network.nat.classes[0]: unknown field 'bogus'"},
+      {R"({"name":"x","network":{"nat":{"categories":[]}}})",
+       "network.nat.categories: expected an object, got array"},
+      {R"({"name":"x","network":{"nat":{"categories":{"warthog":"public"}}}})",
+       "network.nat.categories: unknown category name 'warthog'"},
+      {R"({"name":"x","network":{"nat":{"categories":{"crawler":1}}}})",
+       "network.nat.categories.crawler: expected a class name"},
+      {R"({"name":"x","network":{"disturbances":{}}})",
+       "network.disturbances: expected an array"},
+      {R"({"name":"x","network":{"disturbances":[2]}})",
+       "network.disturbances[0]: expected an object, got number"},
+      {R"({"name":"x","network":{"disturbances":[{"kind":"outage","extra_loss":0.1}]}})",
+       "network.disturbances[0]: unknown field 'extra_loss'"},
+      {R"({"name":"x","network":{"disturbances":[{"kind":"partition","zone":"eu"}]}})",
+       "network.disturbances[0]: unknown field 'zone'"},
+      {R"({"name":"x","network":{"disturbances":[{"kind":"degrade","zones":[]}]}})",
+       "network.disturbances[0]: unknown field 'zones'"},
+      {R"({"name":"x","network":{"disturbances":[{"kind":"partition","zones":"eu"}]}})",
+       "network.disturbances[0].zones: expected an array of zone names"},
+      {R"({"name":"x","network":{"disturbances":[{"kind":"partition","zones":[1]}]}})",
+       "network.disturbances[0].zones: expected an array of zone names"},
+      {R"({"name":"x","network":{"disturbances":[{"kind":"degrade","zone":4}]}})",
+       "network.disturbances[0].zone: expected a string"},
+      // Churn, its distribution kinds and categories.
+      {R"({"name":"x","churn":1})", "churn: expected an object, got number"},
+      {R"({"name":"x","churn":{"bogus":1}})", "churn: unknown field 'bogus'"},
+      {R"({"name":"x","churn":{"session":[]}})",
+       "churn.session: expected an object, got array"},
+      {R"({"name":"x","churn":{"session":{"kind":"exponential","shape":1}}})",
+       "churn.session: unknown field 'shape'"},
+      {R"({"name":"x","churn":{"gap":{"kind":"weibull","mean_ms":1}}})",
+       "churn.gap: unknown field 'mean_ms'"},
+      {R"({"name":"x","churn":{"gap":{"kind":"lognormal","scale_ms":1}}})",
+       "churn.gap: unknown field 'scale_ms'"},
+      {R"({"name":"x","churn":{"session":{"kind":"weibull","shape":"k"}}})",
+       "churn.session.shape: expected a number"},
+      {R"({"name":"x","churn":{"diurnal":3}})",
+       "churn.diurnal: expected an object, got number"},
+      {R"({"name":"x","churn":{"diurnal":{"bogus":1}}})",
+       "churn.diurnal: unknown field 'bogus'"},
+      {R"({"name":"x","churn":{"categories":[]}})",
+       "churn.categories: expected an object, got array"},
+      {R"({"name":"x","churn":{"categories":{"warthog":{}}}})",
+       "churn.categories: unknown category name 'warthog'"},
+      {R"({"name":"x","churn":{"categories":{"crawler":1}}})",
+       "churn.categories.crawler: expected an object, got number"},
+      {R"({"name":"x","churn":{"categories":{"crawler":{"bogus":1}}}})",
+       "churn.categories.crawler: unknown field 'bogus'"},
+      {R"({"name":"x","churn":{"categories":{"crawler":{"gap":{"kind":"pareto"}}}}})",
+       "churn.categories.crawler.gap.kind: expected \"exponential\", \"weibull\" "
+       "or \"lognormal\""},
+      // Content and its categories.
+      {R"({"name":"x","content":"lots"})", "content: expected an object, got string"},
+      {R"({"name":"x","content":{"bogus":1}})", "content: unknown field 'bogus'"},
+      {R"({"name":"x","content":{"keys":-3}})",
+       "content.keys: expected an integer in [0, 2^32)"},
+      {R"({"name":"x","content":{"categories":1}})",
+       "content.categories: expected an object, got number"},
+      {R"({"name":"x","content":{"categories":{"warthog":{}}}})",
+       "content.categories: unknown category name 'warthog'"},
+      {R"({"name":"x","content":{"categories":{"crawler":[]}}})",
+       "content.categories.crawler: expected an object, got array"},
+      {R"({"name":"x","content":{"categories":{"crawler":{"bogus":1}}}})",
+       "content.categories.crawler: unknown field 'bogus'"},
+      // Phases and the phase modes.
+      {R"({"name":"x","phases":[]})", "phases: expected an object, got array"},
+      {R"({"name":"x","phases":{"bogus":1}})", "phases: unknown field 'bogus'"},
+      {R"({"name":"x","phases":{}})", "phases.program: required"},
+      {R"({"name":"x","phases":{"program":{}}})", "phases.program: expected an array"},
+      {R"({"name":"x","phases":{"program":[1]}})",
+       "phases.program[0]: expected an object, got number"},
+      {R"({"name":"x","phases":{"program":[{"hold_ms":1}]}})",
+       "phases.program[0]: mode is required"},
+      {R"({"name":"x","phases":{"program":[{"mode":1}]}})",
+       "phases.program[0].mode: expected a string"},
+      {R"({"name":"x","phases":{"program":[{"mode":"hold","hold_ms":1,"switch_ms":1}]}})",
+       "phases.program[0]: unknown field 'switch_ms'"},
+      {R"({"name":"x","phases":{"program":[{"mode":"ramp","hold_ms":1,"spike":2}]}})",
+       "phases.program[0]: unknown field 'spike'"},
+      {R"({"name":"x","phases":{"program":[{"mode":"burst","hold_ms":1,"hot_key":1}]}})",
+       "phases.program[0]: unknown field 'hot_key'"},
+      {R"({"name":"x","phases":{"program":[{"mode":"flash_crowd","hold_ms":1,"switch_ms":1}]}})",
+       "phases.program[0]: unknown field 'switch_ms'"},
+      {R"({"name":"x","phases":{"program":[{"mode":"hold","hold_ms":0}]}})",
+       "phases.program[0]: hold_ms must be > 0"},
+      {R"({"name":"x","phases":{"program":[{"mode":"hold","hold_ms":0,"churn_rate":"x"}]}})",
+       "phases.program[0]: hold_ms must be > 0"},
+      {R"({"name":"x","phases":{"program":[{"mode":"burst","hold_ms":1,"switch_ms":0}]}})",
+       "phases.program[0]: switch_ms must be > 0"},
+      {R"({"name":"x","phases":{"program":[{"mode":"flash_crowd","hold_ms":1,"spike":"x"}]}})",
+       "phases.program[0].spike: expected a number"},
+      // Campaign, crawler, output.
+      {R"({"name":"x","campaign":4})", "campaign: expected an object, got number"},
+      {R"({"name":"x","campaign":{"bogus":1}})", "campaign: unknown field 'bogus'"},
+      {R"({"name":"x","campaign":{"crawler":false}})",
+       "campaign.crawler: expected an object, got bool"},
+      {R"({"name":"x","campaign":{"crawler":{"bogus":1}}})",
+       "campaign.crawler: unknown field 'bogus'"},
+      {R"({"name":"x","campaign":{"metadata_dynamics":1,"crawler":{"enabled":1}}})",
+       "campaign.crawler.enabled: expected true or false"},
+      {R"({"name":"x","output":"stdout"})", "output: expected an object, got string"},
+      {R"({"name":"x","output":{"bogus":1}})", "output: unknown field 'bogus'"},
+      // One row per enum error.
+      {R"({"name":"x","period":{"go_ipfs":{"mode":"peer"}}})",
+       "period.go_ipfs.mode: expected \"server\" or \"client\""},
+      {R"({"name":"x","period":{"go_ipfs":{"mode":"peer","low_water":"x"}}})",
+       "period.go_ipfs.mode: expected \"server\" or \"client\""},
+      {R"({"name":"x","period":{"go_ipfs":{"present":0,"mode":"peer"}}})",
+       "period.go_ipfs.present: expected true or false"},
+      {R"({"name":"x","population":{"categories":{"crawler":{"session":"sometimes"}}}})",
+       "population.categories.crawler.session: expected \"always-on\", "
+       "\"recurring\" or \"one-shot\""},
+      {R"({"name":"x","network":{"disturbances":[{"kind":"flood"}]}})",
+       "network.disturbances[0].kind: expected \"outage\", \"partition\" or "
+       "\"degrade\""},
+      {R"({"name":"x","churn":{"session":{"kind":"pareto"}}})",
+       "churn.session.kind: expected \"exponential\", \"weibull\" or "
+       "\"lognormal\""},
+      {R"({"name":"x","phases":{"program":[{"mode":"spike","hold_ms":1}]}})",
+       "phases.program[0].mode: expected \"hold\", \"ramp\", \"burst\" or "
+       "\"flash_crowd\""},
+      {R"({"name":"x","phases":{"diurnal_clock":"relative","program":[]}})",
+       "phases.diurnal_clock: expected \"absolute\""},
+      {R"({"name":"x","output":{"role_filter":"everything"}})",
+       "output.role_filter: unknown dataset role 'everything'"},
+      {R"({"name":"x","output":{"role_filter":3}})",
+       "output.role_filter: expected a string or null"},
+  };
+  for (const PinnedError& test_case : cases) {
+    const auto spec = ScenarioSpec::from_json(test_case.document);
+    ASSERT_FALSE(spec.has_value()) << test_case.document;
+    EXPECT_EQ(spec.error(), test_case.error) << test_case.document;
+  }
+}
+
 // ---- preset equivalence -----------------------------------------------------
 
 TEST(ScenarioSpec, CompiledPresetsAreThinWrappersOverBuiltins) {
