@@ -53,6 +53,7 @@ class JsonWriter {
   void value(std::int64_t n);
   void value(std::uint64_t n);
   void value(int n) { value(static_cast<std::int64_t>(n)); }
+  void value(std::uint32_t n) { value(static_cast<std::uint64_t>(n)); }
   void value(double d);
   void null();
 

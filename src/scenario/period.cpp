@@ -4,10 +4,9 @@
 
 namespace ipfs::scenario {
 
-// The period data lives in the builtin scenario catalogue
-// (scenario_spec.cpp) so the compiled presets and the checked-in
-// scenarios/*.json files share one source of truth; these accessors are
-// compatibility wrappers.
+// The period data lives in the checked-in scenarios/*.json files, compiled
+// into the builtin catalogue (builtin_scenarios.cpp); these accessors are
+// compatibility wrappers over it.
 
 // .value() turns a renamed/removed builtin into a loud
 // std::bad_optional_access instead of undefined behaviour.

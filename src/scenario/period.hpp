@@ -1,9 +1,9 @@
 // Measurement-period parameters and the paper's Table I presets.
 //
 // The presets here are thin wrappers over `scenario::ScenarioSpec`
-// builtins (scenario_spec.hpp) — the spec layer is the single source of
-// truth, and the same periods ship as editable `scenarios/*.json` files
-// runnable via the `ipfs_sim` CLI (`ipfs_sim run scenarios/p4.json`).
+// builtins (scenario_spec.hpp), which are the editable `scenarios/*.json`
+// files compiled in — the files are the single source of truth, runnable
+// via the `ipfs_sim` CLI (`ipfs_sim run scenarios/p4.json`).
 //
 //   Period  Dates                    Low   High  go-ipfs  Hydra heads
 //   P0      2021-12-03 – 2021-12-06  600   900   Server   3 (1.2k/1.8k)

@@ -5,9 +5,11 @@
 // `PopulationSpec` (counts, scale, per-category behaviour overrides), the
 // campaign settings of `CampaignConfig` plus sweep controls (trials,
 // workers), and the output selection of `measure::JsonExportSink`.  The
-// paper's Table I periods ship as builtin specs *and* as editable
-// `scenarios/*.json` files; `PeriodSpec::P0()..P4()` are thin wrappers over
-// the builtins, so compiled presets and checked-in JSON cannot drift apart.
+// builtins (the paper's Table I periods and the extra workloads) are the
+// checked-in `scenarios/*.json` files, compiled into the library byte for
+// byte (builtin_scenarios.cpp) and parsed on first use;
+// `PeriodSpec::P0()..P4()` are thin wrappers over them, so there is one
+// copy of each preset and nothing to drift apart.
 //
 // Parsing is strict: `from_json` rejects unknown fields, out-of-range
 // values and malformed documents with a field-path error ("period.go_ipfs:
@@ -26,6 +28,7 @@
 
 #include <expected>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -150,11 +153,28 @@ struct ScenarioSpec {
   // ---- builtins -------------------------------------------------------------
 
   /// All builtin scenarios: the Table I periods p0..p4, the 14-day Fig. 6
-  /// run, and the extra workloads shipped under scenarios/.
+  /// run, and the extra workloads shipped under scenarios/ — the
+  /// `embedded_scenarios()` texts, parsed once on first use.  A text that
+  /// does not parse is a build defect and throws `std::logic_error` naming
+  /// the file.
   [[nodiscard]] static const std::vector<ScenarioSpec>& builtins();
 
   /// Builtin by name, nullopt when unknown.
   [[nodiscard]] static std::optional<ScenarioSpec> builtin(std::string_view name);
 };
+
+/// One checked-in scenario file compiled into the library.
+struct EmbeddedScenario {
+  std::string_view file;  ///< name under scenarios/ ("p0.json")
+  std::string_view text;  ///< the file's exact bytes
+};
+
+/// The embedded `scenarios/*.json` files in catalogue (`ipfs_sim list`)
+/// order.
+[[nodiscard]] std::span<const EmbeddedScenario> embedded_scenarios();
+
+/// The file a scenario named `name` is stored in: every '-' becomes '_'
+/// and ".json" is appended ("nat-heavy" -> "nat_heavy.json").
+[[nodiscard]] std::string scenario_file_name(std::string_view name);
 
 }  // namespace ipfs::scenario

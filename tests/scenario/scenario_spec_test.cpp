@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <filesystem>
+#include <set>
 #include <sstream>
 
 #include "runtime/parallel.hpp"
@@ -427,27 +428,38 @@ TEST(ScenarioSpec, BuiltinLookup) {
 
 // ---- checked-in files -------------------------------------------------------
 
-std::string scenario_file_name(const ScenarioSpec& spec) {
-  std::string file = spec.name;
-  for (char& c : file) {
-    if (c == '-') c = '_';
+// The builtins are the checked-in files compiled in (builtin_scenarios.cpp).
+// This pins the chain file -> embedded text -> builtin: every file under
+// scenarios/ is embedded, every embedded text is canonical, and every
+// builtin lives in the file its name says.
+TEST(ScenarioSpec, CheckedInFilesAreTheEmbeddedBuiltins) {
+  std::set<std::string> on_disk;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(IPFS_SOURCE_DIR) + "/scenarios")) {
+    if (entry.is_regular_file() && entry.path().extension() == ".json") {
+      on_disk.insert(entry.path().filename().string());
+    }
   }
-  return file + ".json";
-}
-
-TEST(ScenarioSpec, CheckedInFilesMatchBuiltinsByteForByte) {
-  for (const ScenarioSpec& spec : ScenarioSpec::builtins()) {
-    const std::string path =
-        std::string(IPFS_SOURCE_DIR) + "/scenarios/" + scenario_file_name(spec);
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing " << path
-                           << " (regenerate with: ipfs_sim export --all)";
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    EXPECT_EQ(contents.str(), spec.to_json_string())
-        << path << " drifted from the builtin spec "
+  std::set<std::string> embedded;
+  for (const EmbeddedScenario& file : embedded_scenarios()) {
+    EXPECT_TRUE(embedded.insert(std::string(file.file)).second)
+        << file.file << " is embedded twice";
+    const auto spec = ScenarioSpec::from_json(file.text);
+    ASSERT_TRUE(spec.has_value()) << file.file << ": " << spec.error();
+    EXPECT_EQ(spec->to_json_string(), file.text)
+        << file.file << " is not in canonical form "
         << "(regenerate with: ipfs_sim export --all)";
   }
+  EXPECT_EQ(on_disk, embedded)
+      << "append each scenarios/*.json to the list in builtin_scenarios.cpp";
+
+  const auto files = embedded_scenarios();
+  const std::vector<ScenarioSpec>& builtins = ScenarioSpec::builtins();
+  ASSERT_EQ(builtins.size(), files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_EQ(scenario_file_name(builtins[i].name), files[i].file);
+  }
+  EXPECT_EQ(scenario_file_name("nat-heavy"), "nat_heavy.json");
 }
 
 // ---- campaign equivalence ---------------------------------------------------
@@ -463,8 +475,8 @@ std::string run_to_json(const CampaignConfig& config) {
 
 TEST(ScenarioSpec, SpecCampaignOutputByteIdenticalToCompiledPresets) {
   // The acceptance check of the scenario layer: running scenarios/pN.json
-  // (here: its builtin twin, which the file-equality test above pins to the
-  // checked-in bytes) produces exactly what the compiled preset produces.
+  // (here: its builtin, which is that file compiled in) produces exactly
+  // what the compiled preset produces.
   const struct {
     const char* builtin_name;
     PeriodSpec (*preset)();

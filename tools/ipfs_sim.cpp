@@ -20,10 +20,12 @@
 //                  (CI smoke runs pair a huge --scale with a short window)
 //   --quiet        suppress the progress summary on stderr
 //
-// `run` exits 2 on hostile input — a bad option, a scenario that is
-// missing, malformed or (after the overrides) invalid — and 1 on a
-// runtime failure: an output file that cannot be opened, a write error,
-// or an engine/runner error.
+// `run`, `calibrate`, `export` and `list` exit 2 on hostile input — a bad
+// option, a scenario or trace that is missing, malformed or (after the
+// overrides) invalid, an unknown builtin name, a `list` DIR that is not a
+// directory — and 1 on a runtime failure: an output file that cannot be
+// opened, a write error, or an engine/runner error.  `validate` exits 1
+// when any file it checks is invalid.
 //
 // Single-trial runs execute on a `scenario::CampaignEngine` directly;
 // multi-trial sweeps go through `runtime::ParallelTrialRunner`, whose
@@ -163,7 +165,7 @@ int cmd_list(const std::vector<std::string>& args) {
   if (!fs::is_directory(dir)) {
     if (!args.empty()) {
       std::cerr << "ipfs_sim list: " << dir << " is not a directory\n";
-      return 1;
+      return 2;
     }
     return 0;
   }
@@ -416,16 +418,13 @@ int export_one(const ScenarioSpec& spec, const std::string& path) {
     return 1;
   }
   out << spec.to_json_string();
+  out.flush();
+  if (!out) {
+    std::cerr << "ipfs_sim export: write to " << path << " failed\n";
+    return 1;
+  }
   std::cout << "wrote " << path << "\n";
   return 0;
-}
-
-std::string file_name_for(const ScenarioSpec& spec) {
-  std::string file = spec.name;
-  for (char& c : file) {
-    if (c == '-') c = '_';
-  }
-  return file + ".json";
 }
 
 int cmd_export(const std::vector<std::string>& args) {
@@ -457,7 +456,8 @@ int cmd_export(const std::vector<std::string>& args) {
     std::error_code ec;
     fs::create_directories(dir, ec);
     for (const ScenarioSpec& spec : ScenarioSpec::builtins()) {
-      const std::string path = (fs::path(dir) / file_name_for(spec)).string();
+      const std::string path =
+          (fs::path(dir) / ipfs::scenario::scenario_file_name(spec.name)).string();
       if (const int code = export_one(spec, path); code != 0) return code;
     }
     return 0;
@@ -465,7 +465,7 @@ int cmd_export(const std::vector<std::string>& args) {
   const auto spec = ScenarioSpec::builtin(*name);
   if (!spec) {
     std::cerr << "ipfs_sim export: no builtin named '" << *name << "'\n";
-    return 1;
+    return 2;
   }
   if (out_path) return export_one(*spec, *out_path);
   std::cout << spec->to_json_string();
