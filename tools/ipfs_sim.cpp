@@ -468,7 +468,11 @@ int cmd_export(const std::vector<std::string>& args) {
     return 2;
   }
   if (out_path) return export_one(*spec, *out_path);
-  std::cout << spec->to_json_string();
+  std::cout << spec->to_json_string() << std::flush;
+  if (!std::cout) {
+    std::cerr << "ipfs_sim export: write to stdout failed\n";
+    return 1;
+  }
   return 0;
 }
 
