@@ -7,6 +7,7 @@
 #include <chrono>
 
 #include "analysis/size_estimation.hpp"
+#include "common/flat_set.hpp"
 #include "common/rng.hpp"
 #include "dht/routing_table.hpp"
 #include "p2p/conn_manager.hpp"
@@ -93,7 +94,7 @@ void BM_MultiaddrGrouping(benchmark::State& state) {
                         ? p2p::IpAddress::v4(static_cast<std::uint32_t>(
                               0x0a000000u + rng.uniform_u64(64)))
                         : p2p::IpAddress::v4(static_cast<std::uint32_t>(rng()));
-    dataset.record(index).connected_ips.insert(ip);
+    common::flat_insert(dataset.record(index).connected_ips, ip);
     dataset.add_connection({index, 0, 1000, p2p::Direction::kInbound,
                             p2p::CloseReason::kRemoteClose});
   }

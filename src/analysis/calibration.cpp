@@ -188,10 +188,12 @@ ParseError parse_peer(const JsonValue& value, const std::string& path,
       if (auto error = require_time(entry, "at_ms", entry_path, event.at)) {
         return error;
       }
-      if (auto error = require_string(entry, "agent", entry_path, event.agent)) {
+      std::string agent;
+      if (auto error = require_string(entry, "agent", entry_path, agent)) {
         return error;
       }
-      agents.push_back(std::move(event));
+      event.agent = common::Symbol(agent);
+      agents.push_back(event);
     }
   }
   for (const std::string_view key : {"protocols_ever", "connected_ips"}) {

@@ -1,5 +1,6 @@
 #include "analysis/metadata.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "p2p/protocols.hpp"
@@ -8,13 +9,13 @@ namespace ipfs::analysis {
 
 namespace proto = p2p::protocols;
 
-std::string agent_group_label(const std::string& agent) {
+std::string agent_group_label(std::string_view agent) {
   if (agent.empty()) return "missing";
   const auto info = common::AgentInfo::parse(agent);
   if (info.is_go_ipfs() && info.version) {
     return info.version->to_string();  // paper groups go-ipfs by version number
   }
-  return agent;
+  return std::string(agent);
 }
 
 common::CountedHistogram agent_histogram(const measure::Dataset& dataset) {
@@ -22,9 +23,9 @@ common::CountedHistogram agent_histogram(const measure::Dataset& dataset) {
   for (const measure::PeerRecord& peer : dataset.peers()) {
     // A peer counts under its *first* observed agent (the paper's per-PID
     // tally; later changes feed Table III instead).
-    const std::string& agent =
-        peer.agent_history.empty() ? std::string() : peer.agent_history.front().agent;
-    histogram.add(agent_group_label(agent));
+    const common::Symbol agent =
+        peer.agent_history.empty() ? common::Symbol() : peer.agent_history.front().agent;
+    histogram.add(agent_group_label(agent.view()));
   }
   return histogram;
 }
@@ -32,7 +33,9 @@ common::CountedHistogram agent_histogram(const measure::Dataset& dataset) {
 common::CountedHistogram protocol_histogram(const measure::Dataset& dataset) {
   common::CountedHistogram histogram;
   for (const measure::PeerRecord& peer : dataset.peers()) {
-    for (const std::string& protocol : peer.protocols_ever) histogram.add(protocol);
+    for (const common::Symbol protocol : peer.protocols_ever) {
+      histogram.add(protocol.str());
+    }
   }
   return histogram;
 }
@@ -41,20 +44,18 @@ MetadataSummary summarize_metadata(const measure::Dataset& dataset) {
   MetadataSummary summary;
   summary.total_pids = dataset.peer_count();
 
-  std::set<std::string> agent_strings;
-  std::set<std::string> go_ipfs_versions;
-  std::set<std::string> protocols;
+  std::set<common::Symbol> agent_strings;
+  std::set<common::Symbol> go_ipfs_versions;
+  std::set<common::Symbol> protocols;
 
   for (const measure::PeerRecord& peer : dataset.peers()) {
-    for (const std::string& protocol : peer.protocols_ever) protocols.insert(protocol);
-    bool counted_bitswap = false;
-    for (const std::string& protocol : peer.protocols_ever) {
-      if (!counted_bitswap && proto::is_bitswap(protocol)) {
-        ++summary.bitswap_supporters;
-        counted_bitswap = true;
-      }
+    protocols.insert(peer.protocols_ever.begin(), peer.protocols_ever.end());
+    if (std::ranges::any_of(peer.protocols_ever, [](common::Symbol protocol) {
+          return proto::is_bitswap(protocol.view());
+        })) {
+      ++summary.bitswap_supporters;
     }
-    if (peer.protocols_ever.contains(std::string(proto::kKad))) {
+    if (std::ranges::binary_search(peer.protocols_ever, proto::kKad)) {
       ++summary.kad_supporters;
     }
 
@@ -64,10 +65,10 @@ MetadataSummary summarize_metadata(const measure::Dataset& dataset) {
     }
     for (const measure::AgentEvent& event : peer.agent_history) {
       agent_strings.insert(event.agent);
-      const auto info = common::AgentInfo::parse(event.agent);
+      const auto info = common::AgentInfo::parse(event.agent.view());
       if (info.is_go_ipfs()) go_ipfs_versions.insert(event.agent);
     }
-    const auto info = common::AgentInfo::parse(peer.agent_history.front().agent);
+    const auto info = common::AgentInfo::parse(peer.agent_history.front().agent.view());
     if (info.is_go_ipfs()) {
       ++summary.go_ipfs_pids;
     } else if (info.name == "hydra-booster") {
@@ -88,8 +89,9 @@ VersionChangeCounts count_version_changes(const measure::Dataset& dataset) {
   VersionChangeCounts counts;
   for (const measure::PeerRecord& peer : dataset.peers()) {
     for (std::size_t i = 1; i < peer.agent_history.size(); ++i) {
-      const auto before = common::AgentInfo::parse(peer.agent_history[i - 1].agent);
-      const auto after = common::AgentInfo::parse(peer.agent_history[i].agent);
+      const auto before =
+          common::AgentInfo::parse(peer.agent_history[i - 1].agent.view());
+      const auto after = common::AgentInfo::parse(peer.agent_history[i].agent.view());
       if (!before.is_go_ipfs() && after.is_go_ipfs()) {
         ++counts.into_go_ipfs;
         continue;
@@ -114,7 +116,7 @@ VersionChangeCounts count_version_changes(const measure::Dataset& dataset) {
 }
 
 FlappingStats protocol_flapping(const measure::Dataset& dataset,
-                                std::string_view protocol) {
+                                common::Symbol protocol) {
   FlappingStats stats;
   for (const measure::PeerRecord& peer : dataset.peers()) {
     std::uint64_t toggles = 0;
@@ -133,22 +135,19 @@ FlappingStats protocol_flapping(const measure::Dataset& dataset,
 AnomalyReport find_anomalies(const measure::Dataset& dataset) {
   AnomalyReport report;
   for (const measure::PeerRecord& peer : dataset.peers()) {
-    const std::string& agent = peer.current_agent();
+    const common::Symbol agent = peer.current_agent();
     if (agent.empty()) continue;
-    const auto info = common::AgentInfo::parse(agent);
+    const auto info = common::AgentInfo::parse(agent.view());
     if (info.name == "storm") ++report.storm_agents;
     if (info.name.find("ethereum") != std::string::npos) ++report.ethereum_agents;
     if (info.is_go_ipfs()) {
-      bool has_bitswap = false;
-      for (const std::string& protocol : peer.protocols_ever) {
-        if (proto::is_bitswap(protocol)) {
-          has_bitswap = true;
-          break;
-        }
-      }
+      const bool has_bitswap =
+          std::ranges::any_of(peer.protocols_ever, [](common::Symbol protocol) {
+            return proto::is_bitswap(protocol.view());
+          });
       if (!has_bitswap && !peer.protocols_ever.empty()) {
         ++report.go_ipfs_without_bitswap;
-        if (peer.protocols_ever.contains(std::string(proto::kSbptp))) {
+        if (std::ranges::binary_search(peer.protocols_ever, proto::kSbptp)) {
           ++report.go_ipfs_with_sbptp;
         }
       }

@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
+#include "common/symbol.hpp"
 #include "common/version.hpp"
 #include "measure/dataset.hpp"
 
@@ -69,7 +71,7 @@ struct FlappingStats {
 };
 
 [[nodiscard]] FlappingStats protocol_flapping(const measure::Dataset& dataset,
-                                              std::string_view protocol);
+                                              common::Symbol protocol);
 
 /// Anomaly fingerprints from §IV-B's curiosity hunt.
 struct AnomalyReport {
@@ -89,6 +91,6 @@ struct AnomalyReport {
 /// Group label used by `agent_histogram` for one agent string: go-ipfs
 /// collapses to its version number, others keep name(/version); empty
 /// becomes "missing".
-[[nodiscard]] std::string agent_group_label(const std::string& agent);
+[[nodiscard]] std::string agent_group_label(std::string_view agent);
 
 }  // namespace ipfs::analysis

@@ -74,7 +74,7 @@ const Ledger* BitswapEngine::ledger_for(const p2p::PeerId& peer) const {
 
 void BitswapEngine::send(const p2p::PeerId& to, BitswapMessage message) {
   net::Message envelope;
-  envelope.protocol = std::string(p2p::protocols::kBitswap120);
+  envelope.protocol = p2p::protocols::kBitswap120.str();
   envelope.body = std::move(message);
   network_.send(self_, to, std::move(envelope));
 }

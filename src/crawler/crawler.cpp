@@ -123,7 +123,7 @@ void Crawler::send_probes(const p2p::PeerId& peer) {
         common::mix64(peer.prefix64(), 0x9e3779b97f4a7c15ULL * (depth + 1)));
     request.request_id = request_id;
     net::Message message;
-    message.protocol = std::string(proto::kKad);
+    message.protocol = proto::kKad.str();
     message.body = request;
     network_.send(swarm_.local_id(), peer, std::move(message));
 
@@ -151,7 +151,7 @@ void Crawler::finish_visit(const p2p::PeerId& peer) {
 }
 
 void Crawler::handle_message(const p2p::PeerId& from, const net::Message& message) {
-  if (message.protocol != proto::kKad) return;
+  if (message.protocol != proto::kKad.view()) return;
   const auto* response = std::any_cast<dht::FindNodeResponse>(&message.body);
   if (response == nullptr) return;
   const auto pending_it = pending_requests_.find(response->request_id);

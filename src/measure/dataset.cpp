@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/flat_set.hpp"
 #include "common/json.hpp"
 
 namespace ipfs::measure {
@@ -64,9 +65,8 @@ void Dataset::merge(const Dataset& other) {
                                 theirs.protocol_events.end());
     std::sort(ours.protocol_events.begin(), ours.protocol_events.end(),
               [](const ProtocolEvent& a, const ProtocolEvent& b) { return a.at < b.at; });
-    ours.protocols_ever.insert(theirs.protocols_ever.begin(),
-                               theirs.protocols_ever.end());
-    ours.connected_ips.insert(theirs.connected_ips.begin(), theirs.connected_ips.end());
+    common::flat_union(ours.protocols_ever, theirs.protocols_ever);
+    common::flat_union(ours.connected_ips, theirs.connected_ips);
   }
 
   connections_.reserve(connections_.size() + other.connections_.size());
@@ -97,13 +97,13 @@ void Dataset::export_json(std::ostream& out, bool include_connections,
     for (const AgentEvent& event : peer.agent_history) {
       json.begin_object();
       json.field("at_ms", event.at);
-      json.field("agent", event.agent);
+      json.field("agent", event.agent.view());
       json.end_object();
     }
     json.end_array();
     json.key("protocols_ever");
     json.begin_array();
-    for (const std::string& protocol : peer.protocols_ever) json.value(protocol);
+    for (const common::Symbol protocol : peer.protocols_ever) json.value(protocol.view());
     json.end_array();
     json.key("connected_ips");
     json.begin_array();

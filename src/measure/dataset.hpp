@@ -10,12 +10,12 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.hpp"
+#include "common/symbol.hpp"
 #include "p2p/connection.hpp"
 #include "p2p/multiaddr.hpp"
 #include "p2p/peer_id.hpp"
@@ -42,13 +42,13 @@ struct ConnRecord {
 /// A timestamped agent-version observation.
 struct AgentEvent {
   SimTime at = 0;
-  std::string agent;
+  common::Symbol agent;
 };
 
 /// A timestamped protocol announcement change.
 struct ProtocolEvent {
   SimTime at = 0;
-  std::string protocol;
+  common::Symbol protocol;
   bool added = true;
 };
 
@@ -62,15 +62,14 @@ struct PeerRecord {
   std::vector<AgentEvent> agent_history;
   /// Full protocol change log (adds and removals).
   std::vector<ProtocolEvent> protocol_events;
-  /// Every protocol ever announced.
-  std::set<std::string> protocols_ever;
-  /// IPs this PID *connected from* (the §V-A grouping key).
-  std::set<p2p::IpAddress> connected_ips;
+  /// Every protocol ever announced; sorted by text, unique.
+  std::vector<common::Symbol> protocols_ever;
+  /// IPs this PID *connected from* (the §V-A grouping key); sorted, unique.
+  std::vector<p2p::IpAddress> connected_ips;
   bool ever_dht_server = false;
 
-  [[nodiscard]] const std::string& current_agent() const {
-    static const std::string kEmpty;
-    return agent_history.empty() ? kEmpty : agent_history.back().agent;
+  [[nodiscard]] common::Symbol current_agent() const {
+    return agent_history.empty() ? common::Symbol() : agent_history.back().agent;
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/flat_set.hpp"
 #include "p2p/protocols.hpp"
 
 namespace ipfs::measure {
@@ -14,7 +15,10 @@ Recorder::Recorder(sim::Simulation& simulation, p2p::Swarm& swarm,
   swarm_.peerstore().add_observer(this);
 }
 
-Recorder::~Recorder() { swarm_.remove_observer(this); }
+Recorder::~Recorder() {
+  swarm_.remove_observer(this);
+  swarm_.peerstore().remove_observer(this);
+}
 
 SimTime Recorder::observe_time(SimTime actual) const noexcept {
   if (!config_.quantize || config_.poll_interval <= 0) return actual;
@@ -56,7 +60,7 @@ void Recorder::on_connection_opened(const p2p::Connection& connection) {
   if (!recording_) return;
   const SimTime now = observe_time(simulation_.now());
   const PeerIndex peer = dataset_.intern(connection.remote, now);
-  dataset_.record(peer).connected_ips.insert(connection.remote_addr.ip);
+  common::flat_insert(dataset_.record(peer).connected_ips, connection.remote_addr.ip);
   open_[connection.id] = {peer, now, connection.direction};
 }
 
@@ -84,8 +88,8 @@ void Recorder::on_peer_added(const p2p::PeerId& peer, SimTime now) {
   dataset_.intern(peer, observe_time(now));
 }
 
-void Recorder::on_agent_changed(const p2p::PeerId& peer, const std::string& previous,
-                                const std::string& current, SimTime now) {
+void Recorder::on_agent_changed(const p2p::PeerId& peer, common::Symbol previous,
+                                common::Symbol current, SimTime now) {
   if (!recording_) return;
   (void)previous;
   const SimTime at = observe_time(now);
@@ -94,19 +98,23 @@ void Recorder::on_agent_changed(const p2p::PeerId& peer, const std::string& prev
 }
 
 void Recorder::on_protocols_changed(const p2p::PeerId& peer,
-                                    const std::vector<std::string>& added,
-                                    const std::vector<std::string>& removed,
+                                    const std::vector<common::Symbol>& added,
+                                    const std::vector<common::Symbol>& removed,
                                     SimTime now) {
   if (!recording_) return;
   const SimTime at = observe_time(now);
   const PeerIndex index = dataset_.intern(peer, at);
   PeerRecord& record = dataset_.record(index);
-  for (const std::string& protocol : added) {
+  // The first announcement is most of a peer's log; size it exactly.
+  if (record.protocol_events.empty()) {
+    record.protocol_events.reserve(added.size() + removed.size());
+  }
+  for (const common::Symbol protocol : added) {
     record.protocol_events.push_back({at, protocol, true});
-    record.protocols_ever.insert(protocol);
     if (p2p::protocols::marks_dht_server(protocol)) record.ever_dht_server = true;
   }
-  for (const std::string& protocol : removed) {
+  common::flat_union(record.protocols_ever, added);
+  for (const common::Symbol protocol : removed) {
     record.protocol_events.push_back({at, protocol, false});
   }
 }

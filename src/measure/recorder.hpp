@@ -61,11 +61,11 @@ class Recorder : public p2p::SwarmObserver, public p2p::PeerstoreObserver {
 
   // p2p::PeerstoreObserver
   void on_peer_added(const p2p::PeerId& peer, SimTime now) override;
-  void on_agent_changed(const p2p::PeerId& peer, const std::string& previous,
-                        const std::string& current, SimTime now) override;
+  void on_agent_changed(const p2p::PeerId& peer, common::Symbol previous,
+                        common::Symbol current, SimTime now) override;
   void on_protocols_changed(const p2p::PeerId& peer,
-                            const std::vector<std::string>& added,
-                            const std::vector<std::string>& removed,
+                            const std::vector<common::Symbol>& added,
+                            const std::vector<common::Symbol>& removed,
                             SimTime now) override;
   void on_address_added(const p2p::PeerId& peer, const p2p::Multiaddr& address,
                         SimTime now) override;

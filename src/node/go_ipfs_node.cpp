@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/flat_set.hpp"
+
 namespace ipfs::node {
 
 namespace proto = p2p::protocols;
@@ -70,12 +72,11 @@ bool GoIpfsNode::accept_inbound(const p2p::PeerId& from) {
   return true;  // go-ipfs accepts and lets the connection manager trim later
 }
 
-std::vector<std::string> GoIpfsNode::announced_protocols() const {
-  std::vector<std::string> protocols{
-      std::string(proto::kIdentify), std::string(proto::kIdentifyPush),
-      std::string(proto::kPing),     std::string(proto::kRelayV1),
-      std::string(proto::kFetch),    std::string(proto::kMeshsub10),
-      std::string(proto::kMeshsub11)};
+std::vector<common::Symbol> GoIpfsNode::announced_protocols() const {
+  std::vector<common::Symbol> protocols{proto::kIdentify, proto::kIdentifyPush,
+                                        proto::kPing,     proto::kRelayV1,
+                                        proto::kFetch,    proto::kMeshsub10,
+                                        proto::kMeshsub11};
   if (config_.announce_bitswap) {
     protocols.emplace_back(proto::kBitswap100);
     protocols.emplace_back(proto::kBitswap110);
@@ -84,9 +85,8 @@ std::vector<std::string> GoIpfsNode::announced_protocols() const {
   }
   if (config_.announce_autonat) protocols.emplace_back(proto::kAutonat);
   if (kad_->is_server()) protocols.emplace_back(proto::kKad);
-  for (const std::string& extra : config_.extra_protocols) protocols.push_back(extra);
-  std::sort(protocols.begin(), protocols.end());
-  protocols.erase(std::unique(protocols.begin(), protocols.end()), protocols.end());
+  for (const std::string& extra : config_.extra_protocols) protocols.emplace_back(extra);
+  common::flat_normalize(protocols);
   return protocols;
 }
 
@@ -113,7 +113,7 @@ void GoIpfsNode::ping(const p2p::PeerId& peer,
   const std::uint64_t nonce = next_ping_nonce_++;
   pending_pings_[nonce] = {simulation_.now(), std::move(on_pong)};
   net::Message message;
-  message.protocol = std::string(proto::kPing);
+  message.protocol = proto::kPing.str();
   message.body = PingRequest{nonce};
   network_.send(id(), peer, std::move(message));
 }
@@ -121,16 +121,17 @@ void GoIpfsNode::ping(const p2p::PeerId& peer,
 void GoIpfsNode::handle_message(const p2p::PeerId& from, const net::Message& message) {
   if (kad_->handle_message(from, message)) return;
   if (bitswap_->handle_message(from, message)) return;
-  if (message.protocol == proto::kIdentify || message.protocol == proto::kIdentifyPush) {
+  if (message.protocol == proto::kIdentify.view() ||
+      message.protocol == proto::kIdentifyPush.view()) {
     if (const auto* snapshot = std::any_cast<IdentifySnapshot>(&message.body)) {
       handle_identify(from, *snapshot);
     }
     return;
   }
-  if (message.protocol == proto::kPing) {
+  if (message.protocol == proto::kPing.view()) {
     if (const auto* request = std::any_cast<PingRequest>(&message.body)) {
       net::Message reply;
-      reply.protocol = std::string(proto::kPing);
+      reply.protocol = proto::kPing.str();
       reply.body = PingResponse{request->nonce};
       network_.send(id(), from, std::move(reply));
     } else if (const auto* response = std::any_cast<PingResponse>(&message.body)) {
@@ -158,12 +159,12 @@ void GoIpfsNode::on_connection_closed(const p2p::Connection& connection) {
 
 void GoIpfsNode::send_identify(const p2p::PeerId& to, bool push) {
   IdentifySnapshot snapshot;
-  snapshot.agent = config_.agent;
+  snapshot.agent = common::Symbol(config_.agent);
   snapshot.protocols = announced_protocols();
   snapshot.listen_address = swarm_.listen_address();
   snapshot.is_push = push;
   net::Message message;
-  message.protocol = std::string(push ? proto::kIdentifyPush : proto::kIdentify);
+  message.protocol = (push ? proto::kIdentifyPush : proto::kIdentify).str();
   message.body = std::move(snapshot);
   network_.send(id(), to, std::move(message));
 }
@@ -184,8 +185,7 @@ void GoIpfsNode::handle_identify(const p2p::PeerId& from,
   store.add_address(from, snapshot.listen_address, now);
 
   const bool remote_is_server =
-      std::find(snapshot.protocols.begin(), snapshot.protocols.end(),
-                std::string(proto::kKad)) != snapshot.protocols.end();
+      std::ranges::binary_search(snapshot.protocols, proto::kKad);
   if (remote_is_server) {
     kad_->observe_peer(from);
     // DHT-useful peers survive trims: go-ipfs tags kbucket members and the

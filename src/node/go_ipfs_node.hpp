@@ -67,8 +67,9 @@ class GoIpfsNode : public net::Host, private p2p::SwarmObserver {
   [[nodiscard]] bitswap::BitswapEngine& bitswap() noexcept { return *bitswap_; }
   [[nodiscard]] const NodeConfig& config() const noexcept { return config_; }
 
-  /// Currently announced protocol list (depends on DHT mode).
-  [[nodiscard]] std::vector<std::string> announced_protocols() const;
+  /// Currently announced protocol list (depends on DHT mode); sorted by
+  /// text, unique.
+  [[nodiscard]] std::vector<common::Symbol> announced_protocols() const;
 
   [[nodiscard]] const std::string& agent() const noexcept { return config_.agent; }
 

@@ -8,9 +8,9 @@
 // paper's 3'059 "missing" agents.
 #pragma once
 
-#include <string>
 #include <vector>
 
+#include "common/symbol.hpp"
 #include "p2p/multiaddr.hpp"
 #include "p2p/peer_id.hpp"
 
@@ -18,8 +18,8 @@ namespace ipfs::node {
 
 /// The payload both sides exchange after connecting (and push on change).
 struct IdentifySnapshot {
-  std::string agent;
-  std::vector<std::string> protocols;
+  common::Symbol agent;
+  std::vector<common::Symbol> protocols;  ///< sorted by text, unique
   p2p::Multiaddr listen_address;
   bool is_push = false;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/flat_set.hpp"
 #include "p2p/protocols.hpp"
 
 namespace ipfs::p2p {
@@ -23,11 +24,11 @@ bool Peerstore::touch(const PeerId& peer, SimTime now) {
   return entries_.size() != before;
 }
 
-void Peerstore::set_agent(const PeerId& peer, const std::string& agent, SimTime now) {
+void Peerstore::set_agent(const PeerId& peer, Symbol agent, SimTime now) {
   Entry& entry = get_or_create(peer, now);
   entry.last_seen = std::max(entry.last_seen, now);
   if (entry.agent == agent) return;
-  const std::string previous = entry.agent;
+  const Symbol previous = entry.agent;
   entry.agent = agent;
   for (PeerstoreObserver* observer : observers_) {
     observer->on_agent_changed(peer, previous, agent, now);
@@ -35,20 +36,24 @@ void Peerstore::set_agent(const PeerId& peer, const std::string& agent, SimTime 
 }
 
 void Peerstore::set_protocols(const PeerId& peer,
-                              const std::vector<std::string>& protocol_list,
+                              const std::vector<Symbol>& protocol_list,
                               SimTime now) {
   Entry& entry = get_or_create(peer, now);
   entry.last_seen = std::max(entry.last_seen, now);
-  std::set<std::string> next(protocol_list.begin(), protocol_list.end());
+  // Re-announcing an unchanged, already normalised list is the common case
+  // and costs no allocation.
+  if (protocol_list == entry.protocols) return;
+  std::vector<Symbol> next = protocol_list;
+  common::flat_normalize(next);
   if (next == entry.protocols) return;
-  std::vector<std::string> added;
-  std::vector<std::string> removed;
+  std::vector<Symbol> added;
+  std::vector<Symbol> removed;
   std::set_difference(next.begin(), next.end(), entry.protocols.begin(),
                       entry.protocols.end(), std::back_inserter(added));
   std::set_difference(entry.protocols.begin(), entry.protocols.end(), next.begin(),
                       next.end(), std::back_inserter(removed));
   entry.protocols = std::move(next);
-  if (entry.protocols.contains(std::string(protocols::kKad))) {
+  if (std::ranges::binary_search(entry.protocols, protocols::kKad)) {
     entry.ever_dht_server = true;
   }
   for (PeerstoreObserver* observer : observers_) {
@@ -71,10 +76,14 @@ const Peerstore::Entry* Peerstore::find(const PeerId& peer) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-bool Peerstore::supports(const PeerId& peer, std::string_view protocol) const {
+bool Peerstore::supports(const PeerId& peer, Symbol protocol) const {
   const Entry* entry = find(peer);
   if (entry == nullptr) return false;
-  return entry->protocols.contains(std::string(protocol));
+  return std::ranges::binary_search(entry->protocols, protocol);
+}
+
+void Peerstore::remove_observer(PeerstoreObserver* observer) {
+  std::erase(observers_, observer);
 }
 
 }  // namespace ipfs::p2p

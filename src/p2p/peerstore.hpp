@@ -7,28 +7,30 @@
 #pragma once
 
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/sim_time.hpp"
+#include "common/symbol.hpp"
 #include "p2p/multiaddr.hpp"
 #include "p2p/peer_id.hpp"
 
 namespace ipfs::p2p {
 
 using common::SimTime;
+using common::Symbol;
 
 /// Receives peerstore mutation events (used by measure::Recorder).
 class PeerstoreObserver {
  public:
   virtual ~PeerstoreObserver() = default;
   virtual void on_peer_added(const PeerId& peer, SimTime now) = 0;
-  virtual void on_agent_changed(const PeerId& peer, const std::string& previous,
-                                const std::string& current, SimTime now) = 0;
+  virtual void on_agent_changed(const PeerId& peer, Symbol previous, Symbol current,
+                                SimTime now) = 0;
+  /// `added` and `removed` are sorted by text and unique.
   virtual void on_protocols_changed(const PeerId& peer,
-                                    const std::vector<std::string>& added,
-                                    const std::vector<std::string>& removed,
+                                    const std::vector<Symbol>& added,
+                                    const std::vector<Symbol>& removed,
                                     SimTime now) = 0;
   virtual void on_address_added(const PeerId& peer, const Multiaddr& address,
                                 SimTime now) = 0;
@@ -38,8 +40,8 @@ class PeerstoreObserver {
 class Peerstore {
  public:
   struct Entry {
-    std::string agent;                 ///< empty until identify succeeded
-    std::set<std::string> protocols;   ///< currently announced protocols
+    Symbol agent;                      ///< empty until identify succeeded
+    std::vector<Symbol> protocols;     ///< announced now; sorted, unique
     std::set<Multiaddr> addresses;     ///< all multiaddresses ever observed
     SimTime first_seen = 0;
     SimTime last_seen = 0;
@@ -50,16 +52,17 @@ class Peerstore {
   bool touch(const PeerId& peer, SimTime now);
 
   /// Record the announced agent-version string (identify result).
-  void set_agent(const PeerId& peer, const std::string& agent, SimTime now);
+  void set_agent(const PeerId& peer, Symbol agent, SimTime now);
 
   /// Replace the announced protocol set; diffs are reported to observers.
-  void set_protocols(const PeerId& peer, const std::vector<std::string>& protocols,
+  /// `protocols` may be in any order and hold duplicates.
+  void set_protocols(const PeerId& peer, const std::vector<Symbol>& protocols,
                      SimTime now);
 
   void add_address(const PeerId& peer, const Multiaddr& address, SimTime now);
 
   [[nodiscard]] const Entry* find(const PeerId& peer) const;
-  [[nodiscard]] bool supports(const PeerId& peer, std::string_view protocol) const;
+  [[nodiscard]] bool supports(const PeerId& peer, Symbol protocol) const;
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   /// Unordered: callers needing an order sort the ids themselves.
   [[nodiscard]] const std::unordered_map<PeerId, Entry>& entries() const noexcept {
@@ -67,6 +70,7 @@ class Peerstore {
   }
 
   void add_observer(PeerstoreObserver* observer) { observers_.push_back(observer); }
+  void remove_observer(PeerstoreObserver* observer);
 
  private:
   Entry& get_or_create(const PeerId& peer, SimTime now);

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "bitswap/bitswap.hpp"
+#include "common/flat_set.hpp"
 #include "common/stats.hpp"
 #include "common/version.hpp"
 #include "dht/record_store.hpp"
@@ -32,9 +33,9 @@ bool pair_visible(const p2p::PeerId& pid, std::uint64_t vantage_salt, double p) 
 }
 
 /// Rewrite a go-ipfs agent string per the version-change kind (Table III).
-std::string mutate_agent(common::Rng& rng, const std::string& agent,
-                         common::VersionChangeKind kind) {
-  const auto info = common::AgentInfo::parse(agent);
+common::Symbol mutate_agent(common::Rng& rng, common::Symbol agent,
+                            common::VersionChangeKind kind) {
+  const auto info = common::AgentInfo::parse(agent.view());
   if (!info.version) return agent;
   common::SemVer version = *info.version;
   switch (kind) {
@@ -82,7 +83,7 @@ std::string mutate_agent(common::Rng& rng, const std::string& agent,
   }
   std::string result = "go-ipfs/" + version.to_string() + "/" + commit;
   if (after_dirty) result += "-dirty";
-  return result;
+  return common::Symbol(result);
 }
 
 }  // namespace
@@ -1219,13 +1220,9 @@ struct CampaignEngine::Impl {
     CrawlSnapshot snapshot;
     snapshot.at = simulation.now();
     if (auto* phase = current_phase()) ++phase->crawls;
-    const std::string kad_protocol(proto::kKad);
     for (const RemotePeer& peer : population.peers()) {
       if (!peer.dht_server) continue;
-      const bool announces_kad =
-          std::find(peer.protocols.begin(), peer.protocols.end(), kad_protocol) !=
-          peer.protocols.end();
-      if (!announces_kad) continue;
+      if (!std::ranges::binary_search(peer.protocols, proto::kKad)) continue;
       const CategoryParams& params = config.population.params(peer.category);
       if (peer_states.online[peer.index] != 0) {
         if (prng.bernoulli(params.crawl_visibility)) {
@@ -1296,7 +1293,7 @@ struct CampaignEngine::Impl {
     std::vector<std::uint32_t> autonat_candidates;
     std::vector<std::uint32_t> non_go_ipfs;
     for (const RemotePeer& peer : population.peers()) {
-      const bool go = peer.agent.rfind("go-ipfs/", 0) == 0;
+      const bool go = peer.agent.view().starts_with("go-ipfs/");
       switch (peer.category) {
         case Category::kCoreServer:
         case Category::kCoreClient:
@@ -1342,8 +1339,10 @@ struct CampaignEngine::Impl {
       for (std::size_t i = 0; i < rounds(216); ++i) {
         const std::uint32_t index = pick(go_ipfs_stable);
         RemotePeer& peer = population.peers()[index];
-        if (peer.agent.find("-dirty") == std::string::npos && mrng.bernoulli(0.96)) {
-          peer.agent += "-dirty";  // pre-seed a dirty build
+        if (peer.agent.view().find("-dirty") == std::string_view::npos &&
+            mrng.bernoulli(0.96)) {
+          // Pre-seed a dirty build.
+          peer.agent = common::Symbol(peer.agent.str() + "-dirty");
         }
         planned.push_back({index, common::VersionChangeKind::kChange});
       }
@@ -1368,19 +1367,18 @@ struct CampaignEngine::Impl {
     }
 
     // Protocol flapping: kad (server<->client role switches) and autonat.
-    schedule_flapping(mrng, kad_flappers, rounds(2481), 34.0 * days / 3.0,
-                      std::string(proto::kKad));
+    schedule_flapping(mrng, kad_flappers, rounds(2481), 34.0 * days / 3.0, proto::kKad);
     schedule_flapping(mrng, autonat_candidates, rounds(3603), 30.0 * days / 3.0,
-                      std::string(proto::kAutonat));
+                      proto::kAutonat);
   }
 
   void schedule_flapping(common::Rng& mrng, const std::vector<std::uint32_t>& pool,
                          std::size_t peer_count, double toggles_per_peer,
-                         const std::string& protocol) {
+                         common::Symbol protocol) {
     if (pool.empty() || peer_count == 0 || toggles_per_peer <= 0.0) return;
     peer_count = std::min(peer_count, pool.size());
     // Deterministic choice of flapping peers: sample without replacement.
-    common::Rng sampler = mrng.child(common::hash64(protocol));
+    common::Rng sampler = mrng.child(common::hash64(protocol.view()));
     const auto chosen = sampler.sample_without_replacement(pool.size(), peer_count);
     const double mean_interval =
         static_cast<double>(config.period.duration) / toggles_per_peer;
@@ -1391,7 +1389,7 @@ struct CampaignEngine::Impl {
     }
   }
 
-  void schedule_next_toggle(std::uint32_t index, const std::string& protocol,
+  void schedule_next_toggle(std::uint32_t index, common::Symbol protocol,
                             double mean_interval, std::uint64_t seed) {
     common::Rng prng(seed);
     const auto delay = std::max<SimDuration>(
@@ -1405,13 +1403,10 @@ struct CampaignEngine::Impl {
     });
   }
 
-  void toggle_protocol(std::uint32_t index, const std::string& protocol) {
+  void toggle_protocol(std::uint32_t index, common::Symbol protocol) {
     RemotePeer& peer = population.peers()[index];
-    const auto it = std::find(peer.protocols.begin(), peer.protocols.end(), protocol);
-    if (it == peer.protocols.end()) {
-      peer.protocols.push_back(protocol);
-    } else {
-      peer.protocols.erase(it);
+    if (!common::flat_insert(peer.protocols, protocol)) {
+      std::erase(peer.protocols, protocol);
     }
     publish_protocols(index);
   }
@@ -1422,10 +1417,10 @@ struct CampaignEngine::Impl {
     set_peer_agent(index, mutate_agent(prng, peer.agent, kind));
   }
 
-  void set_peer_agent(std::uint32_t index, std::string agent) {
+  void set_peer_agent(std::uint32_t index, common::Symbol agent) {
     RemotePeer& peer = population.peers()[index];
     if (peer.agent == agent) return;
-    peer.agent = std::move(agent);
+    peer.agent = agent;
     // Identify-push to every vantage that already knows the peer.
     for (Vantage& vantage : vantages) {
       if (vantage.swarm->peerstore().find(peer.pid) != nullptr) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/flat_set.hpp"
+
 namespace ipfs::scenario {
 
 using common::kDay;
@@ -92,7 +94,7 @@ void Population::build(common::SimDuration duration) {
         RemotePeer& peer = emplace_peer(Category::kHydra, rng);
         peer.ip = pool_ip;
         peer.port = static_cast<std::uint16_t>(3001 + i);
-        peer.agent = "hydra-booster/0.7.4";
+        peer.agent = common::Symbol("hydra-booster/0.7.4");
         peer.dht_server = true;
         ++placed;
       }
@@ -103,7 +105,7 @@ void Population::build(common::SimDuration duration) {
       RemotePeer& peer = emplace_peer(Category::kHydra, rng);
       peer.ip = shared_ip;
       peer.port = static_cast<std::uint16_t>(3001 + i);
-      peer.agent = "hydra-booster/0.7.4";
+      peer.agent = common::Symbol("hydra-booster/0.7.4");
       peer.dht_server = true;
     }
     // The two go-ipfs nodes sharing that IP.
@@ -151,7 +153,7 @@ void Population::build(common::SimDuration duration) {
       RemotePeer& peer = emplace_peer(Category::kLightServer, rng);
       peer.dht_server = true;
       if (i < storm) {
-        peer.agent = "go-ipfs/0.8.0/ce3f20a";  // uniform botnet build
+        peer.agent = common::Symbol("go-ipfs/0.8.0/ce3f20a");  // uniform botnet build
       } else {
         peer.agent = sample_go_ipfs_agent(rng);
       }
@@ -169,7 +171,8 @@ void Population::build(common::SimDuration duration) {
   // --- Crawler agents.
   for (std::uint32_t i = 0; i < scaled(spec_.counts.crawlers); ++i) {
     RemotePeer& peer = emplace_peer(Category::kCrawler, rng);
-    peer.agent = rng.bernoulli(0.5) ? "nebula-crawler/1.1.0" : "ipfs crawler";
+    peer.agent =
+        common::Symbol(rng.bernoulli(0.5) ? "nebula-crawler/1.1.0" : "ipfs crawler");
     peer.dht_server = false;
   }
 
@@ -185,7 +188,7 @@ void Population::build(common::SimDuration duration) {
   // --- Ephemeral arrivals: gone before identify completes ("missing").
   for (std::uint32_t i = 0; i < per_day(spec_.counts.ephemeral_per_day); ++i) {
     RemotePeer& peer = emplace_peer(Category::kEphemeral, rng);
-    peer.agent.clear();
+    peer.agent = common::Symbol();
     peer.dht_server = false;
     assign_one_shot_window(peer, duration, rng);
   }
@@ -194,7 +197,7 @@ void Population::build(common::SimDuration duration) {
   // protocol set (the paper's 2'156-PID group).
   {
     const auto rotator_ip = ips_.shared_v4("rotating-operator");
-    const std::string rotator_agent = "go-ipfs/0.11.0/9e3b7a11";
+    const common::Symbol rotator_agent{"go-ipfs/0.11.0/9e3b7a11"};
     for (std::uint32_t i = 0; i < per_day(spec_.counts.rotating_pids_per_day); ++i) {
       RemotePeer& peer = emplace_peer(Category::kRotatingPid, rng);
       peer.ip = rotator_ip;
@@ -212,14 +215,16 @@ void Population::build(common::SimDuration duration) {
   // --- The lone go-ethereum curiosity.
   for (std::uint32_t i = 0; i < spec_.counts.ethereum_nodes; ++i) {
     RemotePeer& peer = emplace_peer(Category::kEthereum, rng);
-    peer.agent = "go-ethereum/v1.10.13-stable";
+    peer.agent = common::Symbol("go-ethereum/v1.10.13-stable");
     peer.dht_server = false;
   }
 
   // Protocol sets (needs final agent + server flag).
   for (RemotePeer& peer : peers_) {
     if (peer.protocols.empty()) {
-      peer.protocols = protocols_for(peer.category, peer.dht_server, peer.agent, rng);
+      peer.protocols =
+          protocols_for(peer.category, peer.dht_server, peer.agent.view(), rng);
+      common::flat_normalize(peer.protocols);
     }
   }
 

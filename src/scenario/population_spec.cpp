@@ -271,7 +271,7 @@ std::string release_commit(std::string_view version) {
 
 }  // namespace
 
-std::string sample_go_ipfs_agent(common::Rng& rng) {
+common::Symbol sample_go_ipfs_agent(common::Rng& rng) {
   double total = 0.0;
   for (const VersionWeight& vw : kGoIpfsVersions) total += vw.weight;
   // 6 % of go-ipfs agents carry a rare long-tail version drawn from a
@@ -283,7 +283,8 @@ std::string sample_go_ipfs_agent(common::Rng& rng) {
                   static_cast<int>(rng.uniform_int(4, 12)),
                   static_cast<int>(rng.uniform_int(0, 2)),
                   static_cast<int>(rng.uniform_int(1, 3)));
-    return std::string("go-ipfs/") + version + "/" + release_commit(version);
+    return common::Symbol(std::string("go-ipfs/") + version + "/" +
+                          release_commit(version));
   }
   double point = rng.uniform() * total;
   const char* chosen = kGoIpfsVersions[0].version;
@@ -297,27 +298,29 @@ std::string sample_go_ipfs_agent(common::Rng& rng) {
   // ~4 % of users run self-built binaries with novel (often dirty) commits;
   // everyone else announces the shared release commit of their version.
   if (rng.bernoulli(0.002)) {
-    return std::string("go-ipfs/") + chosen + "/" +
-           random_commit(rng, rng.bernoulli(0.5));
+    return common::Symbol(std::string("go-ipfs/") + chosen + "/" +
+                          random_commit(rng, rng.bernoulli(0.5)));
   }
-  return std::string("go-ipfs/") + chosen + "/" + release_commit(chosen);
+  return common::Symbol(std::string("go-ipfs/") + chosen + "/" +
+                        release_commit(chosen));
 }
 
-std::string sample_other_agent(common::Rng& rng) {
+common::Symbol sample_other_agent(common::Rng& rng) {
   double total = 0.0;
   for (const OtherAgentWeight& aw : kOtherAgents) total += aw.weight;
   double point = rng.uniform() * total;
   for (const OtherAgentWeight& aw : kOtherAgents) {
     point -= aw.weight;
-    if (point < 0.0) return aw.agent;
+    if (point < 0.0) return common::Symbol(aw.agent);
   }
-  return kOtherAgents[0].agent;
+  return common::Symbol(kOtherAgents[0].agent);
 }
 
-std::vector<std::string> protocols_for(Category category, bool dht_server,
-                                       const std::string& agent, common::Rng& rng) {
-  std::vector<std::string> protocols;
-  auto add = [&protocols](std::string_view p) { protocols.emplace_back(p); };
+std::vector<common::Symbol> protocols_for(Category category, bool dht_server,
+                                          std::string_view agent, common::Rng& rng) {
+  static const common::Symbol kXCustom{proto::kX.str() + "custom/1.0"};
+  std::vector<common::Symbol> protocols;
+  auto add = [&protocols](common::Symbol p) { protocols.push_back(p); };
 
   if (agent.empty()) return protocols;  // identify never completed
 
@@ -333,7 +336,7 @@ std::vector<std::string> protocols_for(Category category, bool dht_server,
 
   const bool is_go_ipfs = agent.rfind("go-ipfs/", 0) == 0;
   const bool is_disguised_storm = is_go_ipfs && category == Category::kLightServer &&
-                                  agent.find("/0.8.0/") != std::string::npos;
+                                  agent.find("/0.8.0/") != std::string_view::npos;
   const bool is_storm = agent == "storm";
   const bool is_ioi = agent == "ioi";
   const bool is_hydra = agent.rfind("hydra-booster", 0) == 0;
@@ -370,7 +373,7 @@ std::vector<std::string> protocols_for(Category category, bool dht_server,
     if (rng.bernoulli(0.72)) add(proto::kAutonat);
     if (rng.bernoulli(0.2)) add(proto::kFetch);
     if (rng.bernoulli(0.1)) add(proto::kDelta);
-    if (rng.bernoulli(0.03)) add(std::string(proto::kX) + "custom/1.0");
+    if (rng.bernoulli(0.03)) add(kXCustom);
   } else {
     // Other libp2p stacks: partial surfaces.
     if (rng.bernoulli(0.55)) add(proto::kBitswap120);

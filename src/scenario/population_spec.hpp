@@ -24,6 +24,7 @@
 
 #include "common/rng.hpp"
 #include "common/sim_time.hpp"
+#include "common/symbol.hpp"
 #include "p2p/multiaddr.hpp"
 #include "p2p/peer_id.hpp"
 
@@ -101,8 +102,8 @@ struct RemotePeer {
   p2p::IpAddress alt_ip;
   bool has_alt_ip = false;
   std::uint16_t port = 4001;
-  std::string agent;  ///< empty: identify never completes ("missing")
-  std::vector<std::string> protocols;
+  common::Symbol agent;  ///< empty: identify never completes ("missing")
+  std::vector<common::Symbol> protocols;  ///< sorted by text, unique
   bool dht_server = false;
   /// Pre-sampled one-shot session window (kOneShot only).
   common::SimTime session_start = 0;
@@ -168,16 +169,16 @@ struct PopulationSpec {
 
 /// Sample a go-ipfs agent string following Fig. 3's version mix.  `dirty`
 /// builds carry a "-dirty" commit suffix.
-[[nodiscard]] std::string sample_go_ipfs_agent(common::Rng& rng);
+[[nodiscard]] common::Symbol sample_go_ipfs_agent(common::Rng& rng);
 
 /// Sample a non-go-ipfs agent string (Fig. 3's "other" mix: storm, ioi,
 /// go-qkfile, ant, …).
-[[nodiscard]] std::string sample_other_agent(common::Rng& rng);
+[[nodiscard]] common::Symbol sample_other_agent(common::Rng& rng);
 
-/// Protocol sets per role (Fig. 4).
-[[nodiscard]] std::vector<std::string> protocols_for(Category category,
-                                                     bool dht_server,
-                                                     const std::string& agent,
-                                                     common::Rng& rng);
+/// Protocol sets per role (Fig. 4), in announcement order.
+[[nodiscard]] std::vector<common::Symbol> protocols_for(Category category,
+                                                        bool dht_server,
+                                                        std::string_view agent,
+                                                        common::Rng& rng);
 
 }  // namespace ipfs::scenario

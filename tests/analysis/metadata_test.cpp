@@ -2,21 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include "common/flat_set.hpp"
 #include "p2p/protocols.hpp"
 
 namespace ipfs::analysis {
 namespace {
 
 namespace proto = p2p::protocols;
+using common::Symbol;
 using measure::Dataset;
 using measure::PeerIndex;
 
-PeerIndex add_peer(Dataset& dataset, std::uint64_t seed, const std::string& agent,
-                   const std::vector<std::string>& protocols = {}) {
+PeerIndex add_peer(Dataset& dataset, std::uint64_t seed, std::string_view agent,
+                   const std::vector<Symbol>& protocols = {}) {
   const PeerIndex index = dataset.intern(p2p::PeerId::from_seed(seed), 0);
-  if (!agent.empty()) dataset.record(index).agent_history.push_back({0, agent});
-  for (const std::string& protocol : protocols) {
-    dataset.record(index).protocols_ever.insert(protocol);
+  if (!agent.empty()) dataset.record(index).agent_history.push_back({0, Symbol(agent)});
+  for (const Symbol protocol : protocols) {
+    common::flat_insert(dataset.record(index).protocols_ever, protocol);
     dataset.record(index).protocol_events.push_back({0, protocol, true});
     if (proto::marks_dht_server(protocol)) dataset.record(index).ever_dht_server = true;
   }
@@ -48,18 +50,18 @@ TEST(AgentHistogram, CountsFirstObservedAgent) {
 
 TEST(ProtocolHistogram, CountsPerPeerOnce) {
   Dataset dataset;
-  add_peer(dataset, 1, "a", {std::string(proto::kPing), std::string(proto::kKad)});
-  add_peer(dataset, 2, "b", {std::string(proto::kPing)});
+  add_peer(dataset, 1, "a", {proto::kPing, proto::kKad});
+  add_peer(dataset, 2, "b", {proto::kPing});
   const auto histogram = protocol_histogram(dataset);
-  EXPECT_EQ(histogram.count(std::string(proto::kPing)), 2u);
-  EXPECT_EQ(histogram.count(std::string(proto::kKad)), 1u);
+  EXPECT_EQ(histogram.count(proto::kPing.str()), 2u);
+  EXPECT_EQ(histogram.count(proto::kKad.str()), 1u);
 }
 
 TEST(MetadataSummary, CategorisesAgents) {
   Dataset dataset;
-  add_peer(dataset, 1, "go-ipfs/0.11.0/a", {std::string(proto::kBitswap120)});
-  add_peer(dataset, 2, "go-ipfs/0.8.0/b", {std::string(proto::kSbptp)});
-  add_peer(dataset, 3, "hydra-booster/0.7.4", {std::string(proto::kKad)});
+  add_peer(dataset, 1, "go-ipfs/0.11.0/a", {proto::kBitswap120});
+  add_peer(dataset, 2, "go-ipfs/0.8.0/b", {proto::kSbptp});
+  add_peer(dataset, 3, "hydra-booster/0.7.4", {proto::kKad});
   add_peer(dataset, 4, "nebula-crawler/1.1.0");
   add_peer(dataset, 5, "ipfs crawler");
   add_peer(dataset, 6, "storm");
@@ -80,13 +82,13 @@ TEST(MetadataSummary, CategorisesAgents) {
 TEST(VersionChanges, ClassifiesHistoryTransitions) {
   Dataset dataset;
   const PeerIndex upgrader = add_peer(dataset, 1, "go-ipfs/0.10.0/a");
-  dataset.record(upgrader).agent_history.push_back({10, "go-ipfs/0.11.0/b"});
+  dataset.record(upgrader).agent_history.push_back({10, Symbol("go-ipfs/0.11.0/b")});
   const PeerIndex downgrader = add_peer(dataset, 2, "go-ipfs/0.11.0/a");
-  dataset.record(downgrader).agent_history.push_back({10, "go-ipfs/0.10.0/b"});
+  dataset.record(downgrader).agent_history.push_back({10, Symbol("go-ipfs/0.10.0/b")});
   const PeerIndex changer = add_peer(dataset, 3, "go-ipfs/0.11.0/a-dirty");
-  dataset.record(changer).agent_history.push_back({10, "go-ipfs/0.11.0/b-dirty"});
+  dataset.record(changer).agent_history.push_back({10, Symbol("go-ipfs/0.11.0/b-dirty")});
   const PeerIndex convert = add_peer(dataset, 4, "rust-libp2p/0.40.0");
-  dataset.record(convert).agent_history.push_back({10, "go-ipfs/0.11.0/x"});
+  dataset.record(convert).agent_history.push_back({10, Symbol("go-ipfs/0.11.0/x")});
   add_peer(dataset, 5, "go-ipfs/0.11.0/stable");  // no change
 
   const auto counts = count_version_changes(dataset);
@@ -102,9 +104,9 @@ TEST(VersionChanges, ClassifiesHistoryTransitions) {
 TEST(VersionChanges, MultipleChangesPerPeer) {
   Dataset dataset;
   const PeerIndex peer = add_peer(dataset, 1, "go-ipfs/0.10.0/a");
-  dataset.record(peer).agent_history.push_back({10, "go-ipfs/0.11.0/b"});
-  dataset.record(peer).agent_history.push_back({20, "go-ipfs/0.12.0/c"});
-  dataset.record(peer).agent_history.push_back({30, "go-ipfs/0.11.0/d"});
+  dataset.record(peer).agent_history.push_back({10, Symbol("go-ipfs/0.11.0/b")});
+  dataset.record(peer).agent_history.push_back({20, Symbol("go-ipfs/0.12.0/c")});
+  dataset.record(peer).agent_history.push_back({30, Symbol("go-ipfs/0.11.0/d")});
   const auto counts = count_version_changes(dataset);
   EXPECT_EQ(counts.upgrades, 2u);
   EXPECT_EQ(counts.downgrades, 1u);
@@ -112,7 +114,7 @@ TEST(VersionChanges, MultipleChangesPerPeer) {
 
 TEST(ProtocolFlapping, CountsTogglesBeyondInitialAnnouncement) {
   Dataset dataset;
-  const std::string kad(proto::kKad);
+  const Symbol kad = proto::kKad;
   // Peer 1: announced once, never changed -> not a flapper.
   add_peer(dataset, 1, "a", {kad});
   // Peer 2: announce, retract, announce -> 2 toggles after the initial one.
@@ -128,13 +130,13 @@ TEST(Anomalies, DetectsStormFingerprint) {
   Dataset dataset;
   // Disguised storm: go-ipfs agent, sbptp, no bitswap.
   add_peer(dataset, 1, "go-ipfs/0.8.0/x",
-           {std::string(proto::kSbptp), std::string(proto::kPing)});
+           {proto::kSbptp, proto::kPing});
   // Honest go-ipfs.
   add_peer(dataset, 2, "go-ipfs/0.11.0/y",
-           {std::string(proto::kBitswap120), std::string(proto::kPing)});
+           {proto::kBitswap120, proto::kPing});
   // Overt storm + the ethereum curiosity.
-  add_peer(dataset, 3, "storm", {std::string(proto::kSfst1)});
-  add_peer(dataset, 4, "go-ethereum/v1.10.13", {std::string(proto::kPing)});
+  add_peer(dataset, 3, "storm", {proto::kSfst1});
+  add_peer(dataset, 4, "go-ethereum/v1.10.13", {proto::kPing});
   const auto report = find_anomalies(dataset);
   EXPECT_EQ(report.go_ipfs_without_bitswap, 1u);
   EXPECT_EQ(report.go_ipfs_with_sbptp, 1u);

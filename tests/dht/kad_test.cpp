@@ -39,7 +39,7 @@ TEST(KadEngine, ClientDoesNotAnswerQueries) {
   EXPECT_FALSE(client.dht().is_server());
   // Drive a query at the client directly.
   net::Message message;
-  message.protocol = std::string(p2p::protocols::kKad);
+  message.protocol = p2p::protocols::kKad.str();
   message.body = FindNodeRequest{p2p::PeerId::from_seed(1), 77};
   client.handle_message(net.node(0).id(), message);
   EXPECT_EQ(client.dht().queries_served(), 0u);

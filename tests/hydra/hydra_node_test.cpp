@@ -49,8 +49,8 @@ TEST(HydraNode, HeadsAreDhtServersWithHydraAgent) {
     EXPECT_EQ(hydra.head(i).agent(), "hydra-booster/0.7.4");
     // Heads serve the DHT, not content.
     const auto protocols = hydra.head(i).announced_protocols();
-    for (const std::string& protocol : protocols) {
-      EXPECT_FALSE(p2p::protocols::is_bitswap(protocol)) << protocol;
+    for (const common::Symbol protocol : protocols) {
+      EXPECT_FALSE(p2p::protocols::is_bitswap(protocol.view())) << protocol.view();
     }
   }
 }

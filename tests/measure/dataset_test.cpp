@@ -8,6 +8,7 @@ namespace ipfs::measure {
 namespace {
 
 using common::kSecond;
+using common::Symbol;
 
 TEST(Dataset, InternCreatesOnce) {
   Dataset dataset;
@@ -61,8 +62,8 @@ TEST(Dataset, MergeUnionsPeers) {
   const auto a_only = p2p::PeerId::from_seed(2);
   const PeerIndex ai = a.intern(shared_pid, 10);
   a.intern(a_only, 20);
-  a.record(ai).agent_history.push_back({10, "go-ipfs/0.11.0/x"});
-  a.record(ai).protocols_ever.insert("/ipfs/kad/1.0.0");
+  a.record(ai).agent_history.push_back({10, Symbol("go-ipfs/0.11.0/x")});
+  a.record(ai).protocols_ever = {Symbol("/ipfs/kad/1.0.0")};
   a.record(ai).ever_dht_server = true;
   a.add_connection({ai, 10, 50, p2p::Direction::kInbound,
                     p2p::CloseReason::kRemoteClose});
@@ -74,7 +75,7 @@ TEST(Dataset, MergeUnionsPeers) {
   const auto b_only = p2p::PeerId::from_seed(3);
   const PeerIndex bi = b.intern(shared_pid, 5);
   b.intern(b_only, 30);
-  b.record(bi).agent_history.push_back({40, "go-ipfs/0.12.0/y"});
+  b.record(bi).agent_history.push_back({40, Symbol("go-ipfs/0.12.0/y")});
   b.add_connection({bi, 5, 25, p2p::Direction::kInbound,
                     p2p::CloseReason::kRemoteClose});
 
@@ -100,6 +101,34 @@ TEST(Dataset, MergeUnionsPeers) {
   }
 }
 
+TEST(Dataset, MergeUnionsProtocolsAndIps) {
+  const auto ip = [](std::uint32_t v) { return p2p::IpAddress::v4(v); };
+  const auto pid = p2p::PeerId::from_seed(1);
+  Dataset a;
+  const PeerIndex ai = a.intern(pid, 0);
+  a.record(ai).protocols_ever = {Symbol("/x/b"), Symbol("/x/d")};
+  a.record(ai).connected_ips = {ip(1), ip(3)};
+  Dataset b;
+  const PeerIndex bi = b.intern(pid, 0);
+  b.record(bi).protocols_ever = {Symbol("/x/a"), Symbol("/x/b"), Symbol("/x/c")};
+  b.record(bi).connected_ips = {ip(2), ip(3)};
+  b.intern(p2p::PeerId::from_seed(2), 0);  // no sets at all
+
+  Dataset merged;
+  merged.merge(a);
+  merged.merge(b);
+  const PeerRecord* shared = merged.find(pid);
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(shared->protocols_ever,
+            (std::vector<Symbol>{Symbol("/x/a"), Symbol("/x/b"), Symbol("/x/c"),
+                                 Symbol("/x/d")}));
+  EXPECT_EQ(shared->connected_ips, (std::vector<p2p::IpAddress>{ip(1), ip(2), ip(3)}));
+  const PeerRecord* bare = merged.find(p2p::PeerId::from_seed(2));
+  ASSERT_NE(bare, nullptr);
+  EXPECT_TRUE(bare->protocols_ever.empty());
+  EXPECT_TRUE(bare->connected_ips.empty());
+}
+
 TEST(Dataset, MergeRemapsConnectionIndices) {
   Dataset a;
   a.intern(p2p::PeerId::from_seed(10), 0);  // occupies index 0
@@ -118,8 +147,8 @@ TEST(Dataset, ExportJsonIsWellFormedish) {
   dataset.vantage = "go-ipfs";
   dataset.measurement_end = 1000;
   const PeerIndex i = dataset.intern(p2p::PeerId::from_seed(1), 0);
-  dataset.record(i).agent_history.push_back({0, "go-ipfs/0.11.0/x"});
-  dataset.record(i).connected_ips.insert(p2p::IpAddress::v4(42));
+  dataset.record(i).agent_history.push_back({0, Symbol("go-ipfs/0.11.0/x")});
+  dataset.record(i).connected_ips = {p2p::IpAddress::v4(42)};
   dataset.add_connection({i, 0, 500, p2p::Direction::kInbound,
                           p2p::CloseReason::kRemoteTrim});
   std::ostringstream out;

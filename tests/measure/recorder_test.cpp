@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "p2p/protocols.hpp"
 
 namespace ipfs::measure {
@@ -9,6 +11,7 @@ namespace {
 
 using common::kMinute;
 using common::kSecond;
+using common::Symbol;
 
 class RecorderTest : public ::testing::Test {
  protected:
@@ -108,15 +111,15 @@ TEST_F(RecorderTest, AgentHistoryFromPeerstore) {
   Recorder recorder = make_recorder(/*quantize=*/false);
   recorder.start();
   const auto pid = p2p::PeerId::from_seed(2);
-  swarm.peerstore().set_agent(pid, "go-ipfs/0.10.0/a", sim.now());
+  swarm.peerstore().set_agent(pid, Symbol("go-ipfs/0.10.0/a"), sim.now());
   sim.run_until(5 * kMinute);
-  swarm.peerstore().set_agent(pid, "go-ipfs/0.11.0/b", sim.now());
+  swarm.peerstore().set_agent(pid, Symbol("go-ipfs/0.11.0/b"), sim.now());
   recorder.finish();
   const PeerRecord* record = recorder.dataset().find(pid);
   ASSERT_NE(record, nullptr);
   ASSERT_EQ(record->agent_history.size(), 2u);
-  EXPECT_EQ(record->agent_history[0].agent, "go-ipfs/0.10.0/a");
-  EXPECT_EQ(record->agent_history[1].agent, "go-ipfs/0.11.0/b");
+  EXPECT_EQ(record->agent_history[0].agent.view(), "go-ipfs/0.10.0/a");
+  EXPECT_EQ(record->agent_history[1].agent.view(), "go-ipfs/0.11.0/b");
   EXPECT_EQ(record->agent_history[1].at, 5 * kMinute);
 }
 
@@ -124,7 +127,7 @@ TEST_F(RecorderTest, ProtocolEventsAndServerFlag) {
   Recorder recorder = make_recorder(/*quantize=*/false);
   recorder.start();
   const auto pid = p2p::PeerId::from_seed(2);
-  const std::string kad(p2p::protocols::kKad);
+  const Symbol kad = p2p::protocols::kKad;
   swarm.peerstore().set_protocols(pid, {kad}, sim.now());
   sim.run_until(kMinute);
   swarm.peerstore().set_protocols(pid, {}, sim.now());
@@ -135,7 +138,45 @@ TEST_F(RecorderTest, ProtocolEventsAndServerFlag) {
   ASSERT_EQ(record->protocol_events.size(), 2u);
   EXPECT_TRUE(record->protocol_events[0].added);
   EXPECT_FALSE(record->protocol_events[1].added);
-  EXPECT_TRUE(record->protocols_ever.contains(kad));
+  EXPECT_EQ(record->protocols_ever, std::vector<Symbol>{kad});
+}
+
+// Announcements and connections arrive in any order and repeat; the
+// exported protocols_ever and connected_ips are sorted and unique.
+TEST_F(RecorderTest, ExportsSortedUniqueProtocolsAndIps) {
+  Recorder recorder = make_recorder(/*quantize=*/false);
+  recorder.start();
+  const auto pid = p2p::PeerId::from_seed(2);
+  p2p::Peerstore& store = swarm.peerstore();
+  store.set_protocols(pid, {Symbol("/x/b"), Symbol("/x/a/1"), Symbol("/x/b")}, 0);
+  store.set_protocols(pid, {Symbol("/x/c")}, kSecond);
+  store.set_protocols(pid, {Symbol("/x/c"), Symbol("/x/a"), Symbol("/x/b")}, 2 * kSecond);
+  for (const std::uint32_t ip : {30u, 10u, 20u, 10u, 30u}) {
+    swarm.open_connection(pid, addr(ip), p2p::Direction::kInbound);
+  }
+  recorder.finish();
+  std::ostringstream out;
+  recorder.dataset().export_json(out, /*include_connections=*/false, /*pretty=*/false);
+  EXPECT_EQ(out.str(),
+            "{\"vantage\":\"test\",\"measurement_start_ms\":0,"
+            "\"measurement_end_ms\":0,\"peers\":[{\"pid\":\"" +
+                pid.to_string() +
+                "\",\"first_seen_ms\":0,\"last_seen_ms\":2000,"
+                "\"ever_dht_server\":false,\"agents\":[],"
+                "\"protocols_ever\":[\"/x/a\",\"/x/a/1\",\"/x/b\",\"/x/c\"],"
+                "\"connected_ips\":[\"0.0.0.10\",\"0.0.0.20\",\"0.0.0.30\"]}]}\n");
+}
+
+// A recorder that dies before its swarm must leave no observer behind in
+// the peerstore: the next peerstore change would call into freed memory
+// (AddressSanitizer reports it as stack-use-after-scope).
+TEST_F(RecorderTest, DetachesFromPeerstoreOnDestruction) {
+  {
+    Recorder recorder = make_recorder();
+    recorder.start();
+  }
+  EXPECT_TRUE(swarm.peerstore().touch(p2p::PeerId::from_seed(2), sim.now()));
+  EXPECT_EQ(swarm.peerstore().size(), 1u);
 }
 
 TEST_F(RecorderTest, TakeDatasetMovesOut) {

@@ -30,16 +30,16 @@ TEST(GoIpfsNode, ServerAnnouncesKadClientDoesNot) {
   const auto server_protocols = server.announced_protocols();
   const auto client_protocols = client.announced_protocols();
   EXPECT_NE(std::find(server_protocols.begin(), server_protocols.end(),
-                      std::string(proto::kKad)),
+                      proto::kKad),
             server_protocols.end());
   EXPECT_EQ(std::find(client_protocols.begin(), client_protocols.end(),
-                      std::string(proto::kKad)),
+                      proto::kKad),
             client_protocols.end());
   // Both announce the core set.
   for (const auto* p : {&server_protocols, &client_protocols}) {
-    EXPECT_NE(std::find(p->begin(), p->end(), std::string(proto::kIdentify)), p->end());
-    EXPECT_NE(std::find(p->begin(), p->end(), std::string(proto::kPing)), p->end());
-    EXPECT_NE(std::find(p->begin(), p->end(), std::string(proto::kBitswap120)),
+    EXPECT_NE(std::find(p->begin(), p->end(), proto::kIdentify), p->end());
+    EXPECT_NE(std::find(p->begin(), p->end(), proto::kPing), p->end());
+    EXPECT_NE(std::find(p->begin(), p->end(), proto::kBitswap120),
               p->end());
   }
 }
@@ -53,13 +53,13 @@ TEST(GoIpfsNode, IdentifyExchangesMetadataAfterConnect) {
 
   const auto* a_entry = b.swarm().peerstore().find(a.id());
   ASSERT_NE(a_entry, nullptr);
-  EXPECT_EQ(a_entry->agent, a.agent());
-  EXPECT_TRUE(a_entry->protocols.contains(std::string(proto::kKad)));
+  EXPECT_EQ(a_entry->agent.view(), a.agent());
+  EXPECT_TRUE(std::ranges::binary_search(a_entry->protocols, proto::kKad));
   EXPECT_TRUE(a_entry->ever_dht_server);
 
   const auto* b_entry = a.swarm().peerstore().find(b.id());
   ASSERT_NE(b_entry, nullptr);
-  EXPECT_EQ(b_entry->agent, b.agent());
+  EXPECT_EQ(b_entry->agent.view(), b.agent());
 }
 
 TEST(GoIpfsNode, IdentifiedServersEnterRoutingTable) {
@@ -86,7 +86,7 @@ TEST(GoIpfsNode, AgentChangePushedToConnectedPeers) {
   net.sim().run_until(net.sim().now() + 5 * kSecond);
   const auto* entry = b.swarm().peerstore().find(a.id());
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->agent, "go-ipfs/0.12.0/deadbeef");
+  EXPECT_EQ(entry->agent.view(), "go-ipfs/0.12.0/deadbeef");
 }
 
 TEST(GoIpfsNode, RoleSwitchPushedViaIdentify) {

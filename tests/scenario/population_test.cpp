@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -77,7 +78,7 @@ TEST_F(PopulationTest, HydraHeadsClusterOnFewIps) {
   EXPECT_LT(static_cast<int>(hydra_ips.size()), hydra_count / 5);
   for (const RemotePeer& peer : population.peers()) {
     if (peer.category == Category::kHydra) {
-      EXPECT_EQ(peer.agent, "hydra-booster/0.7.4");
+      EXPECT_EQ(peer.agent.view(), "hydra-booster/0.7.4");
       EXPECT_TRUE(peer.dht_server);
     }
   }
@@ -86,7 +87,7 @@ TEST_F(PopulationTest, HydraHeadsClusterOnFewIps) {
 TEST_F(PopulationTest, RotatingPidsShareOneIpAndAgent) {
   const Population population = build(0.2);
   std::set<p2p::IpAddress> ips;
-  std::set<std::string> agents;
+  std::set<common::Symbol> agents;
   std::size_t count = 0;
   for (const RemotePeer& peer : population.peers()) {
     if (peer.category == Category::kRotatingPid) {
@@ -115,15 +116,13 @@ TEST_F(PopulationTest, DisguisedStormFingerprint) {
   std::size_t disguised = 0;
   for (const RemotePeer& peer : population.peers()) {
     if (peer.category != Category::kLightServer) continue;
-    const bool has_sbptp =
-        std::find(peer.protocols.begin(), peer.protocols.end(),
-                  std::string(proto::kSbptp)) != peer.protocols.end();
+    const bool has_sbptp = std::ranges::binary_search(peer.protocols, proto::kSbptp);
     if (!has_sbptp) continue;
     ++disguised;
     // The paper's fingerprint: claims go-ipfs v0.8.0, no bitswap.
-    EXPECT_NE(peer.agent.find("go-ipfs/0.8.0"), std::string::npos);
-    for (const std::string& protocol : peer.protocols) {
-      EXPECT_FALSE(proto::is_bitswap(protocol));
+    EXPECT_NE(peer.agent.view().find("go-ipfs/0.8.0"), std::string_view::npos);
+    for (const common::Symbol protocol : peer.protocols) {
+      EXPECT_FALSE(proto::is_bitswap(protocol.view()));
     }
   }
   EXPECT_GT(disguised, 300u);  // ~7.5k at full scale
@@ -133,9 +132,7 @@ TEST_F(PopulationTest, ServersAnnounceKad) {
   const Population population = build();
   for (const RemotePeer& peer : population.peers()) {
     if (peer.agent.empty()) continue;
-    const bool announces =
-        std::find(peer.protocols.begin(), peer.protocols.end(),
-                  std::string(proto::kKad)) != peer.protocols.end();
+    const bool announces = std::ranges::binary_search(peer.protocols, proto::kKad);
     EXPECT_EQ(announces, peer.dht_server) << to_string(peer.category);
   }
 }
@@ -167,7 +164,7 @@ TEST_F(PopulationTest, AgentMixMatchesPaperShares) {
   for (const RemotePeer& peer : population.peers()) {
     if (peer.agent.empty()) {
       ++missing;
-    } else if (peer.agent.rfind("go-ipfs/", 0) == 0) {
+    } else if (peer.agent.view().starts_with("go-ipfs/")) {
       ++go_ipfs;
     }
   }
@@ -180,11 +177,11 @@ TEST_F(PopulationTest, AgentMixMatchesPaperShares) {
 TEST_F(PopulationTest, GoIpfsAgentStringsParse) {
   const Population population = build(0.1);
   for (const RemotePeer& peer : population.peers()) {
-    if (peer.agent.rfind("go-ipfs/", 0) != 0) continue;
-    const auto info = common::AgentInfo::parse(peer.agent);
+    if (!peer.agent.view().starts_with("go-ipfs/")) continue;
+    const auto info = common::AgentInfo::parse(peer.agent.view());
     EXPECT_TRUE(info.is_go_ipfs());
-    EXPECT_TRUE(info.version.has_value()) << peer.agent;
-    EXPECT_FALSE(info.commit.empty()) << peer.agent;
+    EXPECT_TRUE(info.version.has_value()) << peer.agent.view();
+    EXPECT_FALSE(info.commit.empty()) << peer.agent.view();
   }
 }
 
