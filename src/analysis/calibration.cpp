@@ -49,6 +49,91 @@ std::vector<double> sorted_uncensored(const std::vector<Observation>& sample) {
   return values;
 }
 
+/// A sample with its uncensored values sorted once: the KS and AD
+/// statistics of all three fits read the same vector.
+struct SortedSample {
+  const std::vector<Observation>& observations;
+  std::vector<double> uncensored;  ///< sorted_uncensored(observations)
+};
+
+/// The distinct entries of `values`, sorted, and the position of each
+/// input value among them (in input order).  Traces have a coarse time
+/// grid, so a function of one value is evaluated once per distinct value
+/// and looked up per observation; sums still run over the observations in
+/// their original order, so every result keeps its bits.
+struct DistinctValues {
+  std::vector<double> values;
+  std::vector<std::uint32_t> index;
+};
+
+DistinctValues distinct_values(const std::vector<double>& values) {
+  DistinctValues distinct;
+  distinct.values = values;
+  std::sort(distinct.values.begin(), distinct.values.end());
+  distinct.values.erase(
+      std::unique(distinct.values.begin(), distinct.values.end()),
+      distinct.values.end());
+  distinct.index.reserve(values.size());
+  for (const double v : values) {
+    distinct.index.push_back(static_cast<std::uint32_t>(
+        std::lower_bound(distinct.values.begin(), distinct.values.end(), v) -
+        distinct.values.begin()));
+  }
+  return distinct;
+}
+
+/// `dist`'s CDF at each of the `sorted` values, evaluated once per run of
+/// equal values.
+std::vector<double> cdf_at(const SessionDistribution& dist,
+                           const std::vector<double>& sorted) {
+  std::vector<double> cdf;
+  cdf.reserve(sorted.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    cdf.push_back(i > 0 && sorted[i] == sorted[i - 1]
+                      ? cdf.back()
+                      : distribution_cdf(dist, sorted[i]));
+  }
+  return cdf;
+}
+
+/// KS distance from the fitted CDF at the sorted uncensored values.
+double ks_from_cdf(const std::vector<double>& cdf) {
+  if (cdf.empty()) return 1.0;
+  const double n = static_cast<double>(cdf.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < cdf.size(); ++i) {
+    const double f = cdf[i];
+    d = std::max(d, std::abs(static_cast<double>(i + 1) / n - f));
+    d = std::max(d, std::abs(f - static_cast<double>(i) / n));
+  }
+  return d;
+}
+
+/// Anderson–Darling A² from the fitted CDF at the sorted uncensored
+/// values.  Both logarithms of each clamped CDF value are taken once per
+/// distinct value; index i pairs ln F(x_i) with ln(1 - F(x_{n-1-i})).
+double ad_from_cdf(const std::vector<double>& cdf) {
+  if (cdf.empty()) return std::numeric_limits<double>::infinity();
+  const std::size_t n = cdf.size();
+  std::vector<double> log_lower(n);
+  std::vector<double> log_upper(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && cdf[i] == cdf[i - 1]) {
+      log_lower[i] = log_lower[i - 1];
+      log_upper[i] = log_upper[i - 1];
+      continue;
+    }
+    const double f = std::clamp(cdf[i], 1e-12, 1.0 - 1e-12);
+    log_lower[i] = std::log(f);
+    log_upper[i] = std::log(1.0 - f);
+  }
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += static_cast<double>(2 * i + 1) * (log_lower[i] + log_upper[n - 1 - i]);
+  }
+  return -static_cast<double>(n) - sum / static_cast<double>(n);
+}
+
 FitResult failed_fit(SessionDistribution::Kind kind, std::string note) {
   FitResult fit;
   fit.dist.kind = kind;
@@ -57,22 +142,175 @@ FitResult failed_fit(SessionDistribution::Kind kind, std::string note) {
   return fit;
 }
 
+FitResult too_few_uncensored(SessionDistribution::Kind kind,
+                             std::size_t uncensored) {
+  return failed_fit(kind, "needs >= " + std::to_string(kMinUncensored) +
+                              " uncensored observations, got " +
+                              std::to_string(uncensored));
+}
+
 /// Shared tail of every fitter: attach goodness-of-fit statistics and
 /// sanity-check the parameters against the analytic oracles.
-FitResult finish_fit(SessionDistribution dist,
-                     const std::vector<Observation>& sample) {
+FitResult finish_fit(SessionDistribution dist, const SortedSample& sample) {
   const double mean = dist.analytic_mean();
   const double median = dist.analytic_median();
   if (!std::isfinite(mean) || mean <= 0.0 || !std::isfinite(median) ||
       median <= 0.0) {
     return failed_fit(dist.kind, "degenerate parameters (analytic oracle)");
   }
+  const std::vector<double> cdf = cdf_at(dist, sample.uncensored);
   FitResult fit;
   fit.dist = dist;
-  fit.ks = ks_statistic(sample, dist);
-  fit.ad = ad_statistic(sample, dist);
+  fit.ks = ks_from_cdf(cdf);
+  fit.ad = ad_from_cdf(cdf);
   fit.ok = true;
   return fit;
+}
+
+// ---- censored MLE per family ------------------------------------------------
+
+FitResult exponential_mle(const SortedSample& sample) {
+  double total = 0.0;
+  std::size_t uncensored = 0;
+  for (const Observation& obs : sample.observations) {
+    total += std::max(obs.value_ms, 1.0);
+    uncensored += obs.censored ? 0 : 1;
+  }
+  if (uncensored < kMinUncensored) {
+    return too_few_uncensored(SessionDistribution::Kind::kExponential,
+                              uncensored);
+  }
+  // Censored MLE: every observation contributes its exposure time, only
+  // completed ones count as events — mean = total exposure / events.
+  const double mean = total / static_cast<double>(uncensored);
+  return finish_fit(SessionDistribution::exponential(mean), sample);
+}
+
+FitResult weibull_mle(const SortedSample& sample) {
+  const std::vector<Observation>& observations = sample.observations;
+  double max_value = 0.0;
+  for (const Observation& obs : observations) {
+    max_value = std::max(max_value, std::max(obs.value_ms, 1.0));
+  }
+  std::vector<double> values;  // all, normalized by the max for stability
+  values.reserve(observations.size());
+  std::size_t uncensored = 0;
+  for (const Observation& obs : observations) {
+    values.push_back(std::max(obs.value_ms, 1.0) / max_value);
+    uncensored += obs.censored ? 0 : 1;
+  }
+  if (uncensored < kMinUncensored) {
+    return too_few_uncensored(SessionDistribution::Kind::kWeibull, uncensored);
+  }
+  const DistinctValues distinct = distinct_values(values);
+  std::vector<double> log_of(distinct.values.size());
+  for (std::size_t j = 0; j < log_of.size(); ++j) {
+    log_of[j] = std::log(distinct.values[j]);
+  }
+  const double m = static_cast<double>(uncensored);
+  double mean_log_completed = 0.0;
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    if (!observations[i].censored) {
+      mean_log_completed += log_of[distinct.index[i]];
+    }
+  }
+  mean_log_completed /= m;
+  // Profile likelihood in the shape k (right-censoring drops the
+  // censored terms from the log mean but keeps them in the power sums):
+  //   f(k) = sum(t^k ln t)/sum(t^k) - 1/k - mean(ln t | uncensored) = 0.
+  // f is increasing: f(0+) = -inf and f(inf) -> -mean_log_completed >= 0,
+  // so bisection is safe whenever a sign change exists.
+  std::vector<double> power_of(distinct.values.size());
+  auto power_sum_at = [&](double k) {
+    for (std::size_t j = 0; j < power_of.size(); ++j) {
+      power_of[j] = std::pow(distinct.values[j], k);
+    }
+    double power_sum = 0.0;
+    for (const std::uint32_t j : distinct.index) power_sum += power_of[j];
+    return power_sum;
+  };
+  auto profile = [&](double k) {
+    const double power_sum = power_sum_at(k);
+    double weighted_log = 0.0;
+    for (const std::uint32_t j : distinct.index) {
+      weighted_log += power_of[j] * log_of[j];
+    }
+    return weighted_log / power_sum - 1.0 / k - mean_log_completed;
+  };
+  double lo = 1e-3;
+  double hi = 100.0;
+  if (!(profile(lo) < 0.0) || !(profile(hi) > 0.0)) {
+    return failed_fit(SessionDistribution::Kind::kWeibull,
+                      "profile-likelihood estimator did not converge");
+  }
+  for (int iter = 0; iter < 200; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    // lo only ever holds a k with profile(k) < 0 and hi one without, so a
+    // midpoint equal to either end re-assigns that end to itself: the
+    // state is a fixed point and stopping gives the 200-iteration bits.
+    if (mid == lo || mid == hi) break;
+    (profile(mid) < 0.0 ? lo : hi) = mid;
+  }
+  const double shape = 0.5 * (lo + hi);
+  const double scale =
+      max_value * std::pow(power_sum_at(shape) / m, 1.0 / shape);
+  return finish_fit(SessionDistribution::weibull(shape, scale), sample);
+}
+
+FitResult lognormal_mle(const SortedSample& sample) {
+  std::vector<double> completed_log;
+  std::vector<double> censored_log;
+  for (const Observation& obs : sample.observations) {
+    const double x = std::log(std::max(obs.value_ms, 1.0));
+    (obs.censored ? censored_log : completed_log).push_back(x);
+  }
+  if (completed_log.size() < kMinUncensored) {
+    return too_few_uncensored(SessionDistribution::Kind::kLognormal,
+                              completed_log.size());
+  }
+  const double n =
+      static_cast<double>(completed_log.size() + censored_log.size());
+  // The completed terms of the EM sums never change: add them once.
+  double completed_s1 = 0.0;
+  double completed_s2 = 0.0;
+  for (const double x : completed_log) {
+    completed_s1 += x;
+    completed_s2 += x * x;
+  }
+  double mu = completed_s1 / static_cast<double>(completed_log.size());
+  double var = 0.0;
+  for (const double x : completed_log) var += (x - mu) * (x - mu);
+  var /= static_cast<double>(completed_log.size());
+  double sigma = std::max(std::sqrt(var), 1e-3);
+  // EM for the right-censored normal on ln t: each censored observation
+  // contributes the conditional moments of X | X > c through the inverse
+  // Mills ratio h = phi(a)/(1 - Phi(a)), a = (c - mu)/sigma:
+  //   E[X | X > c]  = mu + sigma h,
+  //   E[X^2 | X > c] = mu^2 + sigma^2 + sigma (c + mu) h.
+  const DistinctValues censored = distinct_values(censored_log);
+  std::vector<double> mills(censored.values.size());
+  for (int iter = 0; iter < 500 && !censored_log.empty(); ++iter) {
+    for (std::size_t j = 0; j < mills.size(); ++j) {
+      mills[j] = inverse_mills((censored.values[j] - mu) / sigma);
+    }
+    double s1 = completed_s1;
+    double s2 = completed_s2;
+    for (std::size_t i = 0; i < censored_log.size(); ++i) {
+      const double c = censored_log[i];
+      const double h = mills[censored.index[i]];
+      s1 += mu + sigma * h;
+      s2 += mu * mu + sigma * sigma + sigma * (c + mu) * h;
+    }
+    const double next_mu = s1 / n;
+    const double next_var = std::max(s2 / n - next_mu * next_mu, 1e-12);
+    const double next_sigma = std::sqrt(next_var);
+    const double delta =
+        std::abs(next_mu - mu) + std::abs(next_sigma - sigma);
+    mu = next_mu;
+    sigma = next_sigma;
+    if (delta < 1e-12) break;
+  }
+  return finish_fit(SessionDistribution::lognormal(std::exp(mu), sigma), sample);
 }
 
 std::string_view family_name(SessionDistribution::Kind kind) {
@@ -87,12 +325,22 @@ std::string join(const std::string& path, std::string_view key) {
   return path.empty() ? std::string(key) : path + "." + std::string(key);
 }
 
-std::string indexed(const std::string& path, std::string_view key,
-                    std::size_t index) {
-  return join(path, key) + "[" + std::to_string(index) + "]";
-}
+/// A field path such as "peers[3].agents[0]", rendered only when an error
+/// names it.
+struct FieldPath {
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+  std::string_view key;           ///< "" at the document root
+  std::size_t index = kNoIndex;   ///< position in the array under `key`
+  const FieldPath* parent = nullptr;
 
-ParseError check_keys(const JsonValue& value, const std::string& path,
+  [[nodiscard]] std::string str() const {
+    std::string path = join(parent == nullptr ? std::string() : parent->str(), key);
+    if (index != kNoIndex) path += "[" + std::to_string(index) + "]";
+    return path;
+  }
+};
+
+ParseError check_keys(const JsonValue& value, const FieldPath& path,
                       std::initializer_list<std::string_view> allowed) {
   for (const JsonValue::Member& member : value.as_object()) {
     bool known = false;
@@ -102,54 +350,55 @@ ParseError check_keys(const JsonValue& value, const std::string& path,
         break;
       }
     }
-    if (!known) return path + ": unknown field '" + member.first + "'";
+    if (!known) return path.str() + ": unknown field '" + member.first + "'";
   }
   return std::nullopt;
 }
 
-ParseError require_object(const JsonValue& value, const std::string& path) {
+ParseError require_object(const JsonValue& value, const FieldPath& path) {
   if (value.is_object()) return std::nullopt;
-  return path + ": expected an object, got " + std::string(value.type_name());
+  return path.str() + ": expected an object, got " +
+         std::string(value.type_name());
 }
 
 ParseError require_string(const JsonValue& object, std::string_view key,
-                          const std::string& path, std::string& out) {
+                          const FieldPath& path, std::string& out) {
   const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path, key) + ": missing required field";
-  if (!value->is_string()) return join(path, key) + ": expected a string";
+  if (value == nullptr) return join(path.str(), key) + ": missing required field";
+  if (!value->is_string()) return join(path.str(), key) + ": expected a string";
   out = value->as_string();
   return std::nullopt;
 }
 
 ParseError require_time(const JsonValue& object, std::string_view key,
-                        const std::string& path, SimTime& out) {
+                        const FieldPath& path, SimTime& out) {
   const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path, key) + ": missing required field";
+  if (value == nullptr) return join(path.str(), key) + ": missing required field";
   const auto integral = value->is_number() ? value->as_int64() : std::nullopt;
-  if (!integral) return join(path, key) + ": expected an integer";
+  if (!integral) return join(path.str(), key) + ": expected an integer";
   out = *integral;
   return std::nullopt;
 }
 
 ParseError optional_bool(const JsonValue& object, std::string_view key,
-                         const std::string& path, bool& out) {
+                         const FieldPath& path, bool& out) {
   const JsonValue* value = object.find(key);
   if (value == nullptr) return std::nullopt;
-  if (!value->is_bool()) return join(path, key) + ": expected true or false";
+  if (!value->is_bool()) return join(path.str(), key) + ": expected true or false";
   out = value->as_bool();
   return std::nullopt;
 }
 
 ParseError require_array(const JsonValue& object, std::string_view key,
-                         const std::string& path, const JsonValue*& out) {
+                         const FieldPath& path, const JsonValue*& out) {
   const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path, key) + ": missing required field";
-  if (!value->is_array()) return join(path, key) + ": expected an array";
+  if (value == nullptr) return join(path.str(), key) + ": missing required field";
+  if (!value->is_array()) return join(path.str(), key) + ": expected an array";
   out = value;
   return std::nullopt;
 }
 
-ParseError parse_peer(const JsonValue& value, const std::string& path,
+ParseError parse_peer(const JsonValue& value, const FieldPath& path,
                       SimTime& first_seen, SimTime& last_seen,
                       bool& ever_dht_server,
                       std::vector<measure::AgentEvent>& agents) {
@@ -169,17 +418,19 @@ ParseError parse_peer(const JsonValue& value, const std::string& path,
     return error;
   }
   if (last_seen < first_seen) {
-    return join(path, "last_seen_ms") + ": must be >= first_seen_ms";
+    return join(path.str(), "last_seen_ms") + ": must be >= first_seen_ms";
   }
   if (auto error = optional_bool(value, "ever_dht_server", path,
                                  ever_dht_server)) {
     return error;
   }
   if (const JsonValue* list = value.find("agents")) {
-    if (!list->is_array()) return join(path, "agents") + ": expected an array";
+    if (!list->is_array()) {
+      return join(path.str(), "agents") + ": expected an array";
+    }
     for (std::size_t i = 0; i < list->as_array().size(); ++i) {
       const JsonValue& entry = list->as_array()[i];
-      const std::string entry_path = indexed(path, "agents", i);
+      const FieldPath entry_path{"agents", i, &path};
       if (auto error = require_object(entry, entry_path)) return error;
       if (auto error = check_keys(entry, entry_path, {"at_ms", "agent"})) {
         return error;
@@ -198,11 +449,10 @@ ParseError parse_peer(const JsonValue& value, const std::string& path,
   }
   for (const std::string_view key : {"protocols_ever", "connected_ips"}) {
     if (const JsonValue* list = value.find(key)) {
-      if (!list->is_array()) return join(path, key) + ": expected an array";
+      if (!list->is_array()) return join(path.str(), key) + ": expected an array";
       for (std::size_t i = 0; i < list->as_array().size(); ++i) {
         if (!list->as_array()[i].is_string()) {
-          return join(path, key) + "[" + std::to_string(i) +
-                 "]: expected a string";
+          return FieldPath{key, i, &path}.str() + ": expected a string";
         }
       }
     }
@@ -334,129 +584,15 @@ const FitResult& FamilySelection::best() const {
 }
 
 FitResult fit_exponential(const std::vector<Observation>& sample) {
-  double total = 0.0;
-  std::size_t uncensored = 0;
-  for (const Observation& obs : sample) {
-    total += std::max(obs.value_ms, 1.0);
-    uncensored += obs.censored ? 0 : 1;
-  }
-  if (uncensored < kMinUncensored) {
-    return failed_fit(SessionDistribution::Kind::kExponential,
-                      "needs >= " + std::to_string(kMinUncensored) +
-                          " uncensored observations, got " +
-                          std::to_string(uncensored));
-  }
-  // Censored MLE: every observation contributes its exposure time, only
-  // completed ones count as events — mean = total exposure / events.
-  const double mean = total / static_cast<double>(uncensored);
-  return finish_fit(SessionDistribution::exponential(mean), sample);
+  return exponential_mle({sample, sorted_uncensored(sample)});
 }
 
 FitResult fit_weibull(const std::vector<Observation>& sample) {
-  std::vector<double> values;     // all, normalized by the max for stability
-  std::vector<double> completed;  // uncensored only
-  double max_value = 0.0;
-  for (const Observation& obs : sample) {
-    max_value = std::max(max_value, std::max(obs.value_ms, 1.0));
-  }
-  for (const Observation& obs : sample) {
-    const double v = std::max(obs.value_ms, 1.0) / max_value;
-    values.push_back(v);
-    if (!obs.censored) completed.push_back(v);
-  }
-  if (completed.size() < kMinUncensored) {
-    return failed_fit(SessionDistribution::Kind::kWeibull,
-                      "needs >= " + std::to_string(kMinUncensored) +
-                          " uncensored observations, got " +
-                          std::to_string(completed.size()));
-  }
-  const double m = static_cast<double>(completed.size());
-  double mean_log_completed = 0.0;
-  for (const double v : completed) mean_log_completed += std::log(v);
-  mean_log_completed /= m;
-  // Profile likelihood in the shape k (right-censoring drops the
-  // censored terms from the log mean but keeps them in the power sums):
-  //   f(k) = sum(t^k ln t)/sum(t^k) - 1/k - mean(ln t | uncensored) = 0.
-  // f is increasing: f(0+) = -inf and f(inf) -> -mean_log_completed >= 0,
-  // so bisection is safe whenever a sign change exists.
-  auto profile = [&](double k) {
-    double weighted_log = 0.0;
-    double power_sum = 0.0;
-    for (const double v : values) {
-      const double p = std::pow(v, k);
-      weighted_log += p * std::log(v);
-      power_sum += p;
-    }
-    return weighted_log / power_sum - 1.0 / k - mean_log_completed;
-  };
-  double lo = 1e-3;
-  double hi = 100.0;
-  if (!(profile(lo) < 0.0) || !(profile(hi) > 0.0)) {
-    return failed_fit(SessionDistribution::Kind::kWeibull,
-                      "profile-likelihood estimator did not converge");
-  }
-  for (int iter = 0; iter < 200; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    (profile(mid) < 0.0 ? lo : hi) = mid;
-  }
-  const double shape = 0.5 * (lo + hi);
-  double power_sum = 0.0;
-  for (const double v : values) power_sum += std::pow(v, shape);
-  const double scale =
-      max_value * std::pow(power_sum / m, 1.0 / shape);
-  return finish_fit(SessionDistribution::weibull(shape, scale), sample);
+  return weibull_mle({sample, sorted_uncensored(sample)});
 }
 
 FitResult fit_lognormal(const std::vector<Observation>& sample) {
-  std::vector<double> completed_log;
-  std::vector<double> censored_log;
-  for (const Observation& obs : sample) {
-    const double x = std::log(std::max(obs.value_ms, 1.0));
-    (obs.censored ? censored_log : completed_log).push_back(x);
-  }
-  if (completed_log.size() < kMinUncensored) {
-    return failed_fit(SessionDistribution::Kind::kLognormal,
-                      "needs >= " + std::to_string(kMinUncensored) +
-                          " uncensored observations, got " +
-                          std::to_string(completed_log.size()));
-  }
-  const double n =
-      static_cast<double>(completed_log.size() + censored_log.size());
-  double mu = 0.0;
-  for (const double x : completed_log) mu += x;
-  mu /= static_cast<double>(completed_log.size());
-  double var = 0.0;
-  for (const double x : completed_log) var += (x - mu) * (x - mu);
-  var /= static_cast<double>(completed_log.size());
-  double sigma = std::max(std::sqrt(var), 1e-3);
-  // EM for the right-censored normal on ln t: each censored observation
-  // contributes the conditional moments of X | X > c through the inverse
-  // Mills ratio h = phi(a)/(1 - Phi(a)), a = (c - mu)/sigma:
-  //   E[X | X > c]  = mu + sigma h,
-  //   E[X^2 | X > c] = mu^2 + sigma^2 + sigma (c + mu) h.
-  for (int iter = 0; iter < 500 && !censored_log.empty(); ++iter) {
-    double s1 = 0.0;
-    double s2 = 0.0;
-    for (const double x : completed_log) {
-      s1 += x;
-      s2 += x * x;
-    }
-    for (const double c : censored_log) {
-      const double a = (c - mu) / sigma;
-      const double h = inverse_mills(a);
-      s1 += mu + sigma * h;
-      s2 += mu * mu + sigma * sigma + sigma * (c + mu) * h;
-    }
-    const double next_mu = s1 / n;
-    const double next_var = std::max(s2 / n - next_mu * next_mu, 1e-12);
-    const double next_sigma = std::sqrt(next_var);
-    const double delta =
-        std::abs(next_mu - mu) + std::abs(next_sigma - sigma);
-    mu = next_mu;
-    sigma = next_sigma;
-    if (delta < 1e-12) break;
-  }
-  return finish_fit(SessionDistribution::lognormal(std::exp(mu), sigma), sample);
+  return lognormal_mle({sample, sorted_uncensored(sample)});
 }
 
 double distribution_cdf(const SessionDistribution& dist, double t_ms) {
@@ -477,33 +613,12 @@ double distribution_cdf(const SessionDistribution& dist, double t_ms) {
 
 double ks_statistic(const std::vector<Observation>& sample,
                     const SessionDistribution& dist) {
-  const std::vector<double> values = sorted_uncensored(sample);
-  if (values.empty()) return 1.0;
-  const double n = static_cast<double>(values.size());
-  double d = 0.0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double f = distribution_cdf(dist, values[i]);
-    d = std::max(d, std::abs(static_cast<double>(i + 1) / n - f));
-    d = std::max(d, std::abs(f - static_cast<double>(i) / n));
-  }
-  return d;
+  return ks_from_cdf(cdf_at(dist, sorted_uncensored(sample)));
 }
 
 double ad_statistic(const std::vector<Observation>& sample,
                     const SessionDistribution& dist) {
-  const std::vector<double> values = sorted_uncensored(sample);
-  if (values.empty()) return std::numeric_limits<double>::infinity();
-  const std::size_t n = values.size();
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lower =
-        std::clamp(distribution_cdf(dist, values[i]), 1e-12, 1.0 - 1e-12);
-    const double upper = std::clamp(distribution_cdf(dist, values[n - 1 - i]),
-                                    1e-12, 1.0 - 1e-12);
-    sum += static_cast<double>(2 * i + 1) *
-           (std::log(lower) + std::log(1.0 - upper));
-  }
-  return -static_cast<double>(n) - sum / static_cast<double>(n);
+  return ad_from_cdf(cdf_at(dist, sorted_uncensored(sample)));
 }
 
 double two_sample_ks(std::vector<double> a, std::vector<double> b) {
@@ -526,10 +641,11 @@ double two_sample_ks(std::vector<double> a, std::vector<double> b) {
 }
 
 FamilySelection select_family(const std::vector<Observation>& sample) {
+  const SortedSample sorted{sample, sorted_uncensored(sample)};
   FamilySelection selection;
-  selection.exponential = fit_exponential(sample);
-  selection.weibull = fit_weibull(sample);
-  selection.lognormal = fit_lognormal(sample);
+  selection.exponential = exponential_mle(sorted);
+  selection.weibull = weibull_mle(sorted);
+  selection.lognormal = lognormal_mle(sorted);
 
   struct Candidate {
     const FitResult* fit;
@@ -600,21 +716,25 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
   const auto parsed = JsonValue::parse(first_document(text));
   if (!parsed) return std::unexpected("trace: " + parsed.error());
   const JsonValue& root = *parsed;
-  if (auto error = require_object(root, "trace")) return std::unexpected(*error);
-  if (auto error = check_keys(root, "trace",
+  const FieldPath trace_path{"trace"};
+  const FieldPath root_path;
+  if (auto error = require_object(root, trace_path)) {
+    return std::unexpected(*error);
+  }
+  if (auto error = check_keys(root, trace_path,
                               {"vantage", "measurement_start_ms",
                                "measurement_end_ms", "peers", "connections"})) {
     return std::unexpected(*error);
   }
   measure::Dataset dataset;
-  if (auto error = require_string(root, "vantage", "", dataset.vantage)) {
+  if (auto error = require_string(root, "vantage", root_path, dataset.vantage)) {
     return std::unexpected(*error);
   }
-  if (auto error = require_time(root, "measurement_start_ms", "",
+  if (auto error = require_time(root, "measurement_start_ms", root_path,
                                 dataset.measurement_start)) {
     return std::unexpected(*error);
   }
-  if (auto error = require_time(root, "measurement_end_ms", "",
+  if (auto error = require_time(root, "measurement_end_ms", root_path,
                                 dataset.measurement_end)) {
     return std::unexpected(*error);
   }
@@ -623,14 +743,14 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
         "measurement_end_ms: must be >= measurement_start_ms");
   }
   const JsonValue* peers = nullptr;
-  if (auto error = require_array(root, "peers", "", peers)) {
+  if (auto error = require_array(root, "peers", root_path, peers)) {
     return std::unexpected(*error);
   }
   if (peers->as_array().empty()) {
     return std::unexpected("peers: dataset is empty — nothing to calibrate");
   }
   for (std::size_t i = 0; i < peers->as_array().size(); ++i) {
-    const std::string path = "peers[" + std::to_string(i) + "]";
+    const FieldPath path{"peers", i};
     SimTime first_seen = 0;
     SimTime last_seen = 0;
     bool ever_dht_server = false;
@@ -655,7 +775,7 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
     }
     for (std::size_t i = 0; i < connections->as_array().size(); ++i) {
       const JsonValue& entry = connections->as_array()[i];
-      const std::string path = "connections[" + std::to_string(i) + "]";
+      const FieldPath path{"connections", i};
       if (auto error = require_object(entry, path)) {
         return std::unexpected(*error);
       }
@@ -671,7 +791,7 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
       }
       if (peer_index < 0 ||
           static_cast<std::size_t>(peer_index) >= dataset.peer_count()) {
-        return std::unexpected(join(path, "peer") + ": index out of range");
+        return std::unexpected(join(path.str(), "peer") + ": index out of range");
       }
       record.peer = static_cast<measure::PeerIndex>(peer_index);
       if (auto error = require_time(entry, "opened_ms", path, record.opened)) {
@@ -681,13 +801,13 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
         return std::unexpected(*error);
       }
       if (record.closed < record.opened) {
-        return std::unexpected(join(path, "closed_ms") +
+        return std::unexpected(join(path.str(), "closed_ms") +
                                ": must be >= opened_ms");
       }
       for (const std::string_view key : {"direction", "reason"}) {
         if (const JsonValue* field = entry.find(key)) {
           if (!field->is_string()) {
-            return std::unexpected(join(path, key) + ": expected a string");
+            return std::unexpected(join(path.str(), key) + ": expected a string");
           }
         }
       }

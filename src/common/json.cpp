@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -262,16 +263,20 @@ class Parser {
     ++pos_;  // opening quote
     std::string out;
     while (true) {
+      // Append the run up to the next quote, escape or control character
+      // in one piece.
+      const std::size_t run = pos_;
+      while (!at_end() && peek() != '"' && peek() != '\\' &&
+             static_cast<unsigned char>(peek()) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_.substr(run, pos_ - run));
       if (at_end()) return fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
+      if (c != '\\') {
         --pos_;
         return fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
       }
       if (at_end()) return fail("unterminated escape sequence");
       const char escape = text_[pos_++];
@@ -349,16 +354,16 @@ class Parser {
       }
       while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     }
-    const std::string lexeme(text_.substr(start, pos_ - start));
     if (integral) {
-      const bool negative = lexeme[0] == '-';
-      errno = 0;
-      char* end = nullptr;
-      const std::uint64_t magnitude =
-          std::strtoull(negative ? lexeme.c_str() + 1 : lexeme.c_str(), &end, 10);
+      const bool negative = text_[start] == '-';
+      std::uint64_t magnitude = 0;
+      const std::errc error =
+          std::from_chars(text_.data() + (negative ? start + 1 : start),
+                          text_.data() + pos_, magnitude)
+              .ec;
       const auto int64_min_magnitude =
           static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) + 1;
-      if (errno == 0 && end != nullptr && *end == '\0') {
+      if (error == std::errc()) {
         if (!negative) return JsonValue::make_unsigned(magnitude);
         if (magnitude <= int64_min_magnitude) {
           return JsonValue::make_integer(
@@ -369,6 +374,7 @@ class Parser {
       }
       // Out-of-range integers fall back to double semantics.
     }
+    const std::string lexeme(text_.substr(start, pos_ - start));
     const double parsed = std::strtod(lexeme.c_str(), nullptr);
     return JsonValue::make_number(parsed);
   }

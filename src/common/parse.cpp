@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <system_error>
 
 namespace ipfs::common {
@@ -59,6 +60,22 @@ std::expected<double, std::string> parse_finite_double(std::string_view text) {
     return std::unexpected("must be finite, got " + quoted(text));
   }
   return value;
+}
+
+std::expected<SimDuration, std::string> parse_duration_s(std::string_view text) {
+  const auto seconds = parse_finite_double(text);
+  if (!seconds) return std::unexpected(seconds.error());
+  if (*seconds <= 0.0) return std::unexpected("must be > 0, got " + quoted(text));
+  const double ms = *seconds * static_cast<double>(kSecond);
+  if (ms < 1.0) {
+    return std::unexpected("below the 1 ms time resolution, got " + quoted(text));
+  }
+  // 2^63 ms, the first value past the SimDuration range.
+  if (ms >= static_cast<double>(std::numeric_limits<SimDuration>::max())) {
+    return std::unexpected("beyond the simulated-time range, got " +
+                           quoted(text));
+  }
+  return from_seconds(*seconds);
 }
 
 }  // namespace ipfs::common

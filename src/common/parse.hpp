@@ -13,6 +13,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/sim_time.hpp"
+
 namespace ipfs::common {
 
 /// Parse an unsigned decimal integer.  Rejects empty input, signs,
@@ -23,6 +25,14 @@ namespace ipfs::common {
 /// Parse a finite decimal number.  Rejects empty input, trailing
 /// characters, "inf"/"nan" spellings, and values that overflow double.
 [[nodiscard]] std::expected<double, std::string> parse_finite_double(
+    std::string_view text);
+
+/// Parse a duration in seconds into simulated milliseconds (truncated, as
+/// `from_seconds` does).  On top of `parse_finite_double`'s rejections it
+/// refuses values <= 0, values under the 1 ms resolution (which would
+/// truncate to 0) and values beyond the `SimDuration` range (whose
+/// conversion would overflow).
+[[nodiscard]] std::expected<SimDuration, std::string> parse_duration_s(
     std::string_view text);
 
 }  // namespace ipfs::common

@@ -1,13 +1,18 @@
 // Unit tests for the churn-calibration module (analysis/calibration.hpp):
 // censored-MLE fitter recovery on synthetic draws from each distribution
 // family, KS-based family selection with the parsimony tie-break, the
-// goodness-of-fit statistics against analytic oracles, the multi-document
-// splitter, and the strict malformed-trace corpus.
+// goodness-of-fit statistics against analytic oracles, bit-exact agreement
+// of the fitters with a straightforward reference implementation, the
+// multi-document splitter, and the strict malformed-trace corpus.
 #include "analysis/calibration.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -185,6 +190,309 @@ TEST(CalibrationStats, TwoSampleKsBounds) {
   EXPECT_DOUBLE_EQ(two_sample_ks(a, a), 0.0);
   EXPECT_DOUBLE_EQ(two_sample_ks({1, 2, 3}, {100, 200, 300}), 1.0);
   EXPECT_NEAR(two_sample_ks({1, 2, 3, 4}, {3, 4, 5, 6}), 0.5, 1e-12);
+}
+
+// ---- bit-exact oracle ------------------------------------------------------
+
+// The fitters evaluate pow/log/CDF terms once per distinct value, stop the
+// Weibull bisection at its fixed point and share one sorted sample between
+// the statistics.  None of that may move a bit: the reference below is the
+// direct form (one pow and one log per observation per profile step, 200
+// bisection steps, a fresh sort and two CDF calls per index for every
+// statistic), and every fitted parameter, KS and AD must match it exactly.
+namespace reference {
+
+double normal_pdf(double x) {
+  static const double kInvSqrt2Pi = 1.0 / std::sqrt(2.0 * std::acos(-1.0));
+  return kInvSqrt2Pi * std::exp(-0.5 * x * x);
+}
+
+double inverse_mills(double a) {
+  if (a > 6.0) return a + 1.0 / a;
+  const double tail = 0.5 * std::erfc(a / std::sqrt(2.0));
+  if (tail <= 0.0) return a + 1.0 / std::max(a, 1.0);
+  return normal_pdf(a) / tail;
+}
+
+std::vector<double> sorted_uncensored(const std::vector<Observation>& sample) {
+  std::vector<double> values;
+  values.reserve(sample.size());
+  for (const Observation& obs : sample) {
+    if (!obs.censored) values.push_back(std::max(obs.value_ms, 1.0));
+  }
+  std::sort(values.begin(), values.end());
+  return values;
+}
+
+double ks_statistic(const std::vector<Observation>& sample,
+                    const SessionDistribution& dist) {
+  const std::vector<double> values = sorted_uncensored(sample);
+  if (values.empty()) return 1.0;
+  const double n = static_cast<double>(values.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double f = distribution_cdf(dist, values[i]);
+    d = std::max(d, std::abs(static_cast<double>(i + 1) / n - f));
+    d = std::max(d, std::abs(f - static_cast<double>(i) / n));
+  }
+  return d;
+}
+
+double ad_statistic(const std::vector<Observation>& sample,
+                    const SessionDistribution& dist) {
+  const std::vector<double> values = sorted_uncensored(sample);
+  if (values.empty()) return std::numeric_limits<double>::infinity();
+  const std::size_t n = values.size();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lower =
+        std::clamp(distribution_cdf(dist, values[i]), 1e-12, 1.0 - 1e-12);
+    const double upper = std::clamp(distribution_cdf(dist, values[n - 1 - i]),
+                                    1e-12, 1.0 - 1e-12);
+    sum += static_cast<double>(2 * i + 1) *
+           (std::log(lower) + std::log(1.0 - upper));
+  }
+  return -static_cast<double>(n) - sum / static_cast<double>(n);
+}
+
+FitResult failed_fit(SessionDistribution::Kind kind, std::string note) {
+  FitResult fit;
+  fit.dist.kind = kind;
+  fit.ok = false;
+  fit.note = std::move(note);
+  return fit;
+}
+
+FitResult finish_fit(SessionDistribution dist,
+                     const std::vector<Observation>& sample) {
+  const double mean = dist.analytic_mean();
+  const double median = dist.analytic_median();
+  if (!std::isfinite(mean) || mean <= 0.0 || !std::isfinite(median) ||
+      median <= 0.0) {
+    return failed_fit(dist.kind, "degenerate parameters (analytic oracle)");
+  }
+  FitResult fit;
+  fit.dist = dist;
+  fit.ks = reference::ks_statistic(sample, dist);
+  fit.ad = reference::ad_statistic(sample, dist);
+  fit.ok = true;
+  return fit;
+}
+
+FitResult fit_weibull(const std::vector<Observation>& sample) {
+  std::vector<double> values;
+  std::vector<double> completed;
+  double max_value = 0.0;
+  for (const Observation& obs : sample) {
+    max_value = std::max(max_value, std::max(obs.value_ms, 1.0));
+  }
+  for (const Observation& obs : sample) {
+    const double v = std::max(obs.value_ms, 1.0) / max_value;
+    values.push_back(v);
+    if (!obs.censored) completed.push_back(v);
+  }
+  if (completed.size() < kMinUncensored) {
+    return failed_fit(SessionDistribution::Kind::kWeibull,
+                      "needs >= " + std::to_string(kMinUncensored) +
+                          " uncensored observations, got " +
+                          std::to_string(completed.size()));
+  }
+  const double m = static_cast<double>(completed.size());
+  double mean_log_completed = 0.0;
+  for (const double v : completed) mean_log_completed += std::log(v);
+  mean_log_completed /= m;
+  auto profile = [&](double k) {
+    double weighted_log = 0.0;
+    double power_sum = 0.0;
+    for (const double v : values) {
+      const double p = std::pow(v, k);
+      weighted_log += p * std::log(v);
+      power_sum += p;
+    }
+    return weighted_log / power_sum - 1.0 / k - mean_log_completed;
+  };
+  double lo = 1e-3;
+  double hi = 100.0;
+  if (!(profile(lo) < 0.0) || !(profile(hi) > 0.0)) {
+    return failed_fit(SessionDistribution::Kind::kWeibull,
+                      "profile-likelihood estimator did not converge");
+  }
+  for (int iter = 0; iter < 200; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    (profile(mid) < 0.0 ? lo : hi) = mid;
+  }
+  const double shape = 0.5 * (lo + hi);
+  double power_sum = 0.0;
+  for (const double v : values) power_sum += std::pow(v, shape);
+  const double scale = max_value * std::pow(power_sum / m, 1.0 / shape);
+  return finish_fit(SessionDistribution::weibull(shape, scale), sample);
+}
+
+FitResult fit_lognormal(const std::vector<Observation>& sample) {
+  std::vector<double> completed_log;
+  std::vector<double> censored_log;
+  for (const Observation& obs : sample) {
+    const double x = std::log(std::max(obs.value_ms, 1.0));
+    (obs.censored ? censored_log : completed_log).push_back(x);
+  }
+  if (completed_log.size() < kMinUncensored) {
+    return failed_fit(SessionDistribution::Kind::kLognormal,
+                      "needs >= " + std::to_string(kMinUncensored) +
+                          " uncensored observations, got " +
+                          std::to_string(completed_log.size()));
+  }
+  const double n =
+      static_cast<double>(completed_log.size() + censored_log.size());
+  double mu = 0.0;
+  for (const double x : completed_log) mu += x;
+  mu /= static_cast<double>(completed_log.size());
+  double var = 0.0;
+  for (const double x : completed_log) var += (x - mu) * (x - mu);
+  var /= static_cast<double>(completed_log.size());
+  double sigma = std::max(std::sqrt(var), 1e-3);
+  for (int iter = 0; iter < 500 && !censored_log.empty(); ++iter) {
+    double s1 = 0.0;
+    double s2 = 0.0;
+    for (const double x : completed_log) {
+      s1 += x;
+      s2 += x * x;
+    }
+    for (const double c : censored_log) {
+      const double a = (c - mu) / sigma;
+      const double h = inverse_mills(a);
+      s1 += mu + sigma * h;
+      s2 += mu * mu + sigma * sigma + sigma * (c + mu) * h;
+    }
+    const double next_mu = s1 / n;
+    const double next_var = std::max(s2 / n - next_mu * next_mu, 1e-12);
+    const double next_sigma = std::sqrt(next_var);
+    const double delta =
+        std::abs(next_mu - mu) + std::abs(next_sigma - sigma);
+    mu = next_mu;
+    sigma = next_sigma;
+    if (delta < 1e-12) break;
+  }
+  return finish_fit(SessionDistribution::lognormal(std::exp(mu), sigma), sample);
+}
+
+}  // namespace reference
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_bit_identical(const FitResult& got, const FitResult& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.ok, want.ok) << label;
+  EXPECT_EQ(got.note, want.note) << label;
+  EXPECT_EQ(got.dist.kind, want.dist.kind) << label;
+  EXPECT_EQ(bits(got.dist.mean_ms), bits(want.dist.mean_ms)) << label;
+  EXPECT_EQ(bits(got.dist.shape), bits(want.dist.shape)) << label;
+  EXPECT_EQ(bits(got.dist.scale_ms), bits(want.dist.scale_ms)) << label;
+  EXPECT_EQ(bits(got.dist.median_ms), bits(want.dist.median_ms)) << label;
+  EXPECT_EQ(bits(got.dist.sigma), bits(want.dist.sigma)) << label;
+  EXPECT_EQ(bits(got.ks), bits(want.ks)) << label;
+  EXPECT_EQ(bits(got.ad), bits(want.ad)) << label;
+}
+
+/// Every fit of `sample`, standalone and through `select_family` (which
+/// shares one sorted sample between the three fits), against the
+/// reference.  The exponential estimator has no reference copy: its
+/// parameter is one sum, so only its statistics are checked.
+void expect_matches_reference(const std::vector<Observation>& sample,
+                              const std::string& label) {
+  const FitResult weibull = reference::fit_weibull(sample);
+  const FitResult lognormal = reference::fit_lognormal(sample);
+  const FamilySelection selection = select_family(sample);
+  expect_bit_identical(fit_weibull(sample), weibull, label + " weibull");
+  expect_bit_identical(selection.weibull, weibull, label + " selected weibull");
+  expect_bit_identical(fit_lognormal(sample), lognormal, label + " lognormal");
+  expect_bit_identical(selection.lognormal, lognormal,
+                       label + " selected lognormal");
+  for (const FitResult& exponential :
+       {fit_exponential(sample), selection.exponential}) {
+    if (!exponential.ok) continue;
+    EXPECT_EQ(bits(exponential.ks),
+              bits(reference::ks_statistic(sample, exponential.dist)))
+        << label;
+    EXPECT_EQ(bits(exponential.ad),
+              bits(reference::ad_statistic(sample, exponential.dist)))
+        << label;
+  }
+  for (const FitResult* fit : {&weibull, &lognormal}) {
+    EXPECT_EQ(bits(ks_statistic(sample, fit->dist)),
+              bits(reference::ks_statistic(sample, fit->dist)))
+        << label;
+    EXPECT_EQ(bits(ad_statistic(sample, fit->dist)),
+              bits(reference::ad_statistic(sample, fit->dist)))
+        << label;
+  }
+}
+
+/// `sample` rounded up to a 30 s grid, as a trace's polling interval
+/// leaves it: few distinct values, many ties.
+std::vector<Observation> on_grid(std::vector<Observation> sample) {
+  constexpr double kGridMs = 30'000.0;
+  for (Observation& obs : sample) {
+    obs.value_ms = kGridMs * std::ceil(obs.value_ms / kGridMs);
+  }
+  return sample;
+}
+
+const SessionDistribution kOracleFamilies[] = {
+    SessionDistribution::exponential(3.6e6),
+    SessionDistribution::weibull(0.55, 7.2e6),
+    SessionDistribution::lognormal(7.2e6, 1.1),
+};
+
+TEST(CalibrationOracle, ContinuousDrawsMatchBitForBit) {
+  for (const SessionDistribution& truth : kOracleFamilies) {
+    for (const std::uint64_t seed : kSeeds) {
+      const auto sample = draw(truth, seed, 2000);
+      const std::string label =
+          std::string(scenario::to_string(truth.kind)) + " seed " +
+          std::to_string(seed);
+      expect_matches_reference(sample, label);
+      expect_matches_reference(censor_at(sample, truth.analytic_mean()),
+                               label + " censored");
+    }
+  }
+}
+
+TEST(CalibrationOracle, TiesOnAThirtySecondGridMatchBitForBit) {
+  for (const SessionDistribution& truth : kOracleFamilies) {
+    for (const std::uint64_t seed : kSeeds) {
+      const auto sample = on_grid(draw(truth, seed, 2000));
+      const std::string label =
+          std::string(scenario::to_string(truth.kind)) + " grid seed " +
+          std::to_string(seed);
+      expect_matches_reference(sample, label);
+      expect_matches_reference(
+          censor_at(sample, 30'000.0 * std::ceil(truth.analytic_mean() / 30'000.0)),
+          label + " censored");
+    }
+  }
+}
+
+TEST(CalibrationOracle, ExactlyTheMinimumCompletedValuesMatchBitForBit) {
+  const auto truth = SessionDistribution::weibull(0.55, 7.2e6);
+  for (const std::uint64_t seed : kSeeds) {
+    auto sample = draw(truth, seed, 40);
+    // Censor all but the first kMinUncensored observations.
+    for (std::size_t i = kMinUncensored; i < sample.size(); ++i) {
+      sample[i].censored = true;
+    }
+    expect_matches_reference(sample, "minimum seed " + std::to_string(seed));
+    sample.resize(kMinUncensored);
+    expect_matches_reference(sample,
+                             "minimum uncensored only seed " + std::to_string(seed));
+  }
+}
+
+TEST(CalibrationOracle, ASingleDistinctValueMatchesBitForBit) {
+  const std::vector<Observation> uncensored(12, Observation{60'000.0, false});
+  expect_matches_reference(uncensored, "single value");
+  std::vector<Observation> mixed = uncensored;
+  for (std::size_t i = 0; i < mixed.size(); i += 2) mixed[i].censored = true;
+  expect_matches_reference(mixed, "single value, half censored");
 }
 
 // ---- the document splitter -------------------------------------------------

@@ -64,5 +64,37 @@ TEST(ParseFiniteDouble, RejectsWithNamedReasons) {
   }
 }
 
+TEST(ParseDurationS, ConvertsSecondsToTruncatedMilliseconds) {
+  EXPECT_EQ(parse_duration_s("1800").value_or(0), 1'800'000);
+  EXPECT_EQ(parse_duration_s("0.001").value_or(0), 1);
+  EXPECT_EQ(parse_duration_s("0.0015").value_or(0), 1);
+  EXPECT_EQ(parse_duration_s("3.6e3").value_or(0), 3'600'000);
+  EXPECT_EQ(parse_duration_s("9e15").value_or(0), 9'000'000'000'000'000'000);
+}
+
+TEST(ParseDurationS, RejectsValuesOutsideTheSimTimeRange) {
+  const struct {
+    const char* text;
+    const char* expected;
+  } cases[] = {
+      {"", "expected a number, got ''"},
+      {"1h", "trailing characters after number: '1h'"},
+      {"inf", "must be finite, got 'inf'"},
+      {"0", "must be > 0, got '0'"},
+      {"-5", "must be > 0, got '-5'"},
+      {"1e-9", "below the 1 ms time resolution, got '1e-9'"},
+      {"0.0009", "below the 1 ms time resolution, got '0.0009'"},
+      {"1e300", "beyond the simulated-time range, got '1e300'"},
+      // 2^63 ms: the first millisecond count SimDuration cannot hold.
+      {"9223372036854775.808", "beyond the simulated-time range, got "
+                               "'9223372036854775.808'"},
+  };
+  for (const auto& test_case : cases) {
+    const auto parsed = parse_duration_s(test_case.text);
+    ASSERT_FALSE(parsed.has_value()) << test_case.text;
+    EXPECT_EQ(parsed.error(), test_case.expected);
+  }
+}
+
 }  // namespace
 }  // namespace ipfs::common

@@ -2,7 +2,8 @@
 // (scenarios/traces/passive_measurement_small.json): the full pipeline
 // must fit every peer group, emit a scenario that validates and
 // round-trips byte-exactly, pass the closed-loop KS check against a
-// re-simulation, and produce identical bytes on every run.
+// re-simulation, and produce identical bytes on every run — bytes that are
+// also hash-pinned.
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/calibration.hpp"
+#include "common/rng.hpp"
 #include "common/sim_time.hpp"
 #include "scenario/scenario_spec.hpp"
 
@@ -84,6 +86,19 @@ TEST(CalibrationLoop, PipelineIsByteDeterministic) {
   EXPECT_EQ(first->scenario.to_json_string(), second->scenario.to_json_string());
   EXPECT_EQ(first->report_json(), second->report_json());
   EXPECT_EQ(first->loop.ks, second->loop.ks);
+}
+
+TEST(CalibrationLoop, ReferenceTraceOutputIsHashPinned) {
+  // FNV-1a (common::hash64) of the emitted scenario bytes followed by the
+  // report bytes, default options, recorded before the fitters evaluated
+  // per distinct value.  A change here means a fitted parameter, a
+  // statistic or the closed loop moved: a determinism regression, not a
+  // constant to refresh.
+  const auto result = run(read_trace());
+  ASSERT_TRUE(result.has_value()) << result.error();
+  EXPECT_EQ(common::hash64(result->scenario.to_json_string() +
+                           result->report_json()),
+            0xc32f5bd38c07e2d7ULL);
 }
 
 TEST(CalibrationLoop, GapOptionChangesTheCensoringHorizon) {

@@ -41,6 +41,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/calibration.hpp"
@@ -83,21 +84,24 @@ int usage(std::ostream& out, int code) {
   return code;
 }
 
+constexpr const char* kRun = "ipfs_sim run";
+constexpr const char* kCalibrate = "ipfs_sim calibrate";
+
 // Strict option parsing (common/parse.hpp): the whole token must parse,
 // negatives / trailing garbage / inf / overflow are rejected, and the
 // error names the option — "--trials: trailing characters after number:
 // '4x'" instead of a silently truncated value or a misleading "unknown
 // option".
 
-bool option_u32(const std::string& option, const std::string& text,
-                std::uint32_t& out) {
+bool option_u32(const char* command, const std::string& option,
+                const std::string& text, std::uint32_t& out) {
   const auto parsed = ipfs::common::parse_u64(text);
   if (!parsed) {
-    std::cerr << "ipfs_sim run: " << option << ": " << parsed.error() << "\n";
+    std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
     return false;
   }
   if (*parsed > std::numeric_limits<std::uint32_t>::max()) {
-    std::cerr << "ipfs_sim run: " << option << ": out of range: '" << text
+    std::cerr << command << ": " << option << ": out of range: '" << text
               << "'\n";
     return false;
   }
@@ -105,27 +109,40 @@ bool option_u32(const std::string& option, const std::string& text,
   return true;
 }
 
-bool option_u64(const std::string& option, const std::string& text,
-                std::uint64_t& out) {
+bool option_u64(const char* command, const std::string& option,
+                const std::string& text, std::uint64_t& out) {
   const auto parsed = ipfs::common::parse_u64(text);
   if (!parsed) {
-    std::cerr << "ipfs_sim run: " << option << ": " << parsed.error() << "\n";
+    std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
     return false;
   }
   out = *parsed;
   return true;
 }
 
-bool option_positive(const std::string& option, const std::string& text,
-                     double& out) {
+bool option_positive(const char* command, const std::string& option,
+                     const std::string& text, double& out) {
   const auto parsed = ipfs::common::parse_finite_double(text);
   if (!parsed) {
-    std::cerr << "ipfs_sim run: " << option << ": " << parsed.error() << "\n";
+    std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
     return false;
   }
   if (*parsed <= 0.0) {
-    std::cerr << "ipfs_sim run: " << option << ": must be > 0, got '" << text
+    std::cerr << command << ": " << option << ": must be > 0, got '" << text
               << "'\n";
+    return false;
+  }
+  out = *parsed;
+  return true;
+}
+
+/// A duration in seconds, checked into simulated milliseconds.
+bool option_duration(const char* command, const std::string& option,
+                     const std::string& text,
+                     ipfs::common::SimDuration& out) {
+  const auto parsed = ipfs::common::parse_duration_s(text);
+  if (!parsed) {
+    std::cerr << command << ": " << option << ": " << parsed.error() << "\n";
     return false;
   }
   out = *parsed;
@@ -212,37 +229,42 @@ int cmd_validate(const std::vector<std::string>& args) {
 
 // ---- run --------------------------------------------------------------------
 
-/// Streams a short progress line per published event to stderr.
+/// Prints a short progress summary to stderr and forwards every event to
+/// `next` unchanged; datasets are moved on, never copied.
 class ProgressSink final : public MeasurementSink {
  public:
+  explicit ProgressSink(MeasurementSink& next) : next_(next) {}
+
   void on_run_begin(const std::string& description) override {
     std::cerr << "== " << description << "\n";
+    next_.on_run_begin(description);
   }
   void on_crawl(const ipfs::measure::CrawlObservation& crawl) override {
     ++crawls_;
-    (void)crawl;
+    next_.on_crawl(crawl);
   }
   void on_population(const ipfs::measure::PopulationSample& sample) override {
     ++population_samples_;
-    (void)sample;
+    next_.on_population(sample);
   }
   void on_provide(const ipfs::measure::ProvideSample& sample) override {
     ++provides_;
-    (void)sample;
+    next_.on_provide(sample);
   }
   void on_fetch(const ipfs::measure::FetchSample& sample) override {
     ++fetches_;
-    (void)sample;
+    next_.on_fetch(sample);
   }
   void on_content(const ipfs::measure::ContentSample& sample) override {
     ++content_samples_;
-    (void)sample;
+    next_.on_content(sample);
   }
   void on_dataset(ipfs::measure::DatasetRole role,
                   ipfs::measure::Dataset dataset) override {
     std::cerr << "   dataset " << ipfs::measure::to_string(role) << " ("
               << dataset.vantage << "): " << dataset.peer_count() << " peers, "
               << dataset.connection_count() << " connections\n";
+    next_.on_dataset(role, std::move(dataset));
   }
   void on_run_end(const ipfs::measure::RunSummary& summary) override {
     std::cerr << "   population " << summary.population_size << ", "
@@ -261,9 +283,11 @@ class ProgressSink final : public MeasurementSink {
     provides_ = 0;
     fetches_ = 0;
     content_samples_ = 0;
+    next_.on_run_end(summary);
   }
 
  private:
+  MeasurementSink& next_;
   std::size_t crawls_ = 0;
   std::size_t population_samples_ = 0;
   std::size_t provides_ = 0;
@@ -282,7 +306,7 @@ int cmd_run(const std::vector<std::string>& args) {
   std::optional<std::uint32_t> trials_override;
   std::optional<std::uint64_t> seed_override;
   std::optional<double> scale_override;
-  std::optional<double> duration_override;  // simulated seconds
+  std::optional<ipfs::common::SimDuration> duration_override;
   bool quiet = false;
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& arg = args[i];
@@ -308,24 +332,24 @@ int cmd_run(const std::vector<std::string>& args) {
       out_path = value;
     } else if (arg == "--workers") {
       std::uint32_t workers = 0;
-      if (!option_u32(arg, value, workers)) return 2;
+      if (!option_u32(kRun, arg, value, workers)) return 2;
       workers_override = workers;
     } else if (arg == "--trials") {
       std::uint32_t trials = 0;
-      if (!option_u32(arg, value, trials)) return 2;
+      if (!option_u32(kRun, arg, value, trials)) return 2;
       trials_override = trials;
     } else if (arg == "--seed") {
       std::uint64_t seed = 0;
-      if (!option_u64(arg, value, seed)) return 2;
+      if (!option_u64(kRun, arg, value, seed)) return 2;
       seed_override = seed;
     } else if (arg == "--scale") {
       double scale = 0.0;
-      if (!option_positive(arg, value, scale)) return 2;
+      if (!option_positive(kRun, arg, value, scale)) return 2;
       scale_override = scale;
     } else {  // --duration
-      double seconds = 0.0;
-      if (!option_positive(arg, value, seconds)) return 2;
-      duration_override = seconds;
+      ipfs::common::SimDuration duration = 0;
+      if (!option_duration(kRun, arg, value, duration)) return 2;
+      duration_override = duration;
     }
   }
 
@@ -340,9 +364,7 @@ int cmd_run(const std::vector<std::string>& args) {
   if (trials_override) spec.campaign.trials = *trials_override;
   if (seed_override) spec.campaign.seed = *seed_override;
   if (scale_override) spec.population.scale = *scale_override;
-  if (duration_override) {
-    spec.period.duration = ipfs::common::from_seconds(*duration_override);
-  }
+  if (duration_override) spec.period.duration = *duration_override;
   if (auto invalid = ScenarioSpec::validate(spec)) {
     std::cerr << "ipfs_sim run: " << *invalid << "\n";
     return 2;
@@ -359,12 +381,9 @@ int cmd_run(const std::vector<std::string>& args) {
   std::ostream& data_out = out_path ? file_out : std::cout;
 
   JsonExportSink export_sink(data_out, spec.output.export_options());
-  ProgressSink progress;
-  ipfs::measure::FanOutSink sink;
-  // FanOutSink copies datasets for all but the last sink: register the
-  // cheap progress reader first so the export sink receives the move.
-  if (!quiet) sink.add(progress);
-  sink.add(export_sink);
+  ProgressSink progress(export_sink);
+  MeasurementSink& sink = quiet ? static_cast<MeasurementSink&>(export_sink)
+                                : progress;
 
   if (!quiet) {
     std::cerr << "scenario " << spec.name << ": " << spec.campaign.trials
@@ -518,16 +537,17 @@ int cmd_calibrate(const std::vector<std::string>& args) {
     } else if (arg == "--name") {
       options.name = value;
     } else if (arg == "--seed") {
-      if (!option_u64(arg, value, options.seed)) return 2;
+      if (!option_u64(kCalibrate, arg, value, options.seed)) return 2;
     } else if (arg == "--gap") {
-      double gap_seconds = 0.0;
-      if (!option_positive(arg, value, gap_seconds)) return 2;
-      options.max_gap = static_cast<ipfs::common::SimDuration>(
-          gap_seconds * ipfs::common::kSecond);
+      if (!option_duration(kCalibrate, arg, value, options.max_gap)) return 2;
     } else if (arg == "--verify-scale") {
-      if (!option_positive(arg, value, options.verify_scale)) return 2;
+      if (!option_positive(kCalibrate, arg, value, options.verify_scale)) {
+        return 2;
+      }
     } else if (arg == "--ks-threshold") {
-      if (!option_positive(arg, value, options.ks_threshold)) return 2;
+      if (!option_positive(kCalibrate, arg, value, options.ks_threshold)) {
+        return 2;
+      }
     }
   }
 
@@ -538,7 +558,7 @@ int cmd_calibrate(const std::vector<std::string>& args) {
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string trace_text = buffer.str();
+  const std::string trace_text = std::move(buffer).str();
 
   const auto result = ipfs::analysis::calibrate::run(trace_text, options);
   if (!result) {
