@@ -1,6 +1,7 @@
 #include "analysis/calibration.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -11,7 +12,6 @@
 
 namespace ipfs::analysis::calibrate {
 
-using common::JsonValue;
 using common::JsonWriter;
 using common::SimDuration;
 using common::SimTime;
@@ -317,9 +317,10 @@ std::string_view family_name(SessionDistribution::Kind kind) {
   return scenario::to_string(kind);
 }
 
-// ---- trace parsing helpers (strict, field-path errors) ---------------------
+// ---- trace parsing helpers (streaming, field-path errors) ------------------
 
 using ParseError = std::optional<std::string>;
+using Token = common::JsonReader::Token;
 
 std::string join(const std::string& path, std::string_view key) {
   return path.empty() ? std::string(key) : path + "." + std::string(key);
@@ -340,124 +341,240 @@ struct FieldPath {
   }
 };
 
-ParseError check_keys(const JsonValue& value, const FieldPath& path,
-                      std::initializer_list<std::string_view> allowed) {
-  for (const JsonValue::Member& member : value.as_object()) {
-    bool known = false;
-    for (const std::string_view key : allowed) {
-      if (member.first == key) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return path.str() + ": unknown field '" + member.first + "'";
+std::string_view type_name(Token token) {
+  switch (token) {
+    case Token::kBeginObject: return "object";
+    case Token::kBeginArray: return "array";
+    case Token::kString: return "string";
+    case Token::kNumber: return "number";
+    case Token::kTrue:
+    case Token::kFalse: return "bool";
+    default: return "null";
   }
+}
+
+ParseError expect_object(Token token, const FieldPath& path) {
+  if (token == Token::kBeginObject) return std::nullopt;
+  return path.str() + ": expected an object, got " + std::string(type_name(token));
+}
+
+/// The first occurrence of one member: its first token (`kEnd` while
+/// absent), its integer value when it is one in range and, for an array,
+/// the first schema error among its elements.
+struct Member {
+  Token token = Token::kEnd;
+  std::optional<SimTime> integer;
+  ParseError error;
+
+  [[nodiscard]] bool present() const noexcept { return token != Token::kEnd; }
+};
+
+bool read_member(common::JsonReader& reader, Token token, Member& out) {
+  out.token = token;
+  if (token == Token::kNumber) out.integer = reader.int64();
+  return reader.skip(token);
+}
+
+/// Read the members of an object whose '{' was just read.  The value of
+/// the first occurrence of `keys[slot]` goes to `on_value(slot, token)`,
+/// which consumes it; repeated keys (first wins) and unknown keys are
+/// skipped, and the first unknown key lands in `unknown`.  False on a
+/// syntax error.
+template <std::size_t N, typename OnValue>
+bool read_object(common::JsonReader& reader,
+                 const std::array<std::string_view, N>& keys,
+                 std::optional<std::string>& unknown, OnValue&& on_value) {
+  std::array<bool, N> seen{};
+  for (Token token = reader.next(); token != Token::kEndObject;
+       token = reader.next()) {
+    if (token == Token::kError) return false;
+    const std::size_t slot = static_cast<std::size_t>(
+        std::find(keys.begin(), keys.end(), reader.string()) - keys.begin());
+    if (slot == N && !unknown) unknown.emplace(reader.string());
+    const Token value = reader.next();
+    if (slot == N || seen[slot]) {
+      if (!reader.skip(value)) return false;
+      continue;
+    }
+    seen[slot] = true;
+    if (!on_value(slot, value)) return false;
+  }
+  return true;
+}
+
+ParseError unknown_field(const FieldPath& path,
+                         const std::optional<std::string>& unknown) {
+  if (!unknown) return std::nullopt;
+  return path.str() + ": unknown field '" + *unknown + "'";
+}
+
+ParseError require_string(const Member& value, std::string_view key,
+                          const FieldPath& path) {
+  if (!value.present()) return join(path.str(), key) + ": missing required field";
+  if (value.token != Token::kString) return join(path.str(), key) + ": expected a string";
   return std::nullopt;
 }
 
-ParseError require_object(const JsonValue& value, const FieldPath& path) {
-  if (value.is_object()) return std::nullopt;
-  return path.str() + ": expected an object, got " +
-         std::string(value.type_name());
-}
-
-ParseError require_string(const JsonValue& object, std::string_view key,
-                          const FieldPath& path, std::string& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path.str(), key) + ": missing required field";
-  if (!value->is_string()) return join(path.str(), key) + ": expected a string";
-  out = value->as_string();
-  return std::nullopt;
-}
-
-ParseError require_time(const JsonValue& object, std::string_view key,
+ParseError require_time(const Member& value, std::string_view key,
                         const FieldPath& path, SimTime& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path.str(), key) + ": missing required field";
-  const auto integral = value->is_number() ? value->as_int64() : std::nullopt;
-  if (!integral) return join(path.str(), key) + ": expected an integer";
-  out = *integral;
+  if (!value.present()) return join(path.str(), key) + ": missing required field";
+  if (!value.integer) return join(path.str(), key) + ": expected an integer";
+  out = *value.integer;
   return std::nullopt;
 }
 
-ParseError optional_bool(const JsonValue& object, std::string_view key,
-                         const FieldPath& path, bool& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return std::nullopt;
-  if (!value->is_bool()) return join(path.str(), key) + ": expected true or false";
-  out = value->as_bool();
-  return std::nullopt;
+ParseError optional_string(const Member& value, std::string_view key,
+                           const FieldPath& path) {
+  if (!value.present()) return std::nullopt;
+  return require_string(value, key, path);
 }
 
-ParseError require_array(const JsonValue& object, std::string_view key,
-                         const FieldPath& path, const JsonValue*& out) {
-  const JsonValue* value = object.find(key);
-  if (value == nullptr) return join(path.str(), key) + ": missing required field";
-  if (!value->is_array()) return join(path.str(), key) + ": expected an array";
-  out = value;
-  return std::nullopt;
+ParseError optional_array(const Member& value, std::string_view key,
+                          const FieldPath& path) {
+  if (value.present() && value.token != Token::kBeginArray) {
+    return join(path.str(), key) + ": expected an array";
+  }
+  return value.error;
 }
 
-ParseError parse_peer(const JsonValue& value, const FieldPath& path,
-                      SimTime& first_seen, SimTime& last_seen,
-                      bool& ever_dht_server,
-                      std::vector<measure::AgentEvent>& agents) {
-  if (auto error = require_object(value, path)) return error;
-  if (auto error = check_keys(value, path,
-                              {"pid", "first_seen_ms", "last_seen_ms",
-                               "ever_dht_server", "agents", "protocols_ever",
-                               "connected_ips"})) {
-    return error;
+/// Read the elements of an array whose '[' was just read, passing each
+/// element's first token and index to `on_element`, which consumes it.
+template <typename OnElement>
+bool read_array(common::JsonReader& reader, OnElement&& on_element) {
+  std::size_t index = 0;
+  for (Token token = reader.next(); token != Token::kEndArray;
+       token = reader.next()) {
+    if (token == Token::kError || !on_element(token, index++)) return false;
   }
-  std::string pid;
-  if (auto error = require_string(value, "pid", path, pid)) return error;
-  if (auto error = require_time(value, "first_seen_ms", path, first_seen)) {
-    return error;
-  }
-  if (auto error = require_time(value, "last_seen_ms", path, last_seen)) {
-    return error;
-  }
-  if (last_seen < first_seen) {
-    return join(path.str(), "last_seen_ms") + ": must be >= first_seen_ms";
-  }
-  if (auto error = optional_bool(value, "ever_dht_server", path,
-                                 ever_dht_server)) {
-    return error;
-  }
-  if (const JsonValue* list = value.find("agents")) {
-    if (!list->is_array()) {
-      return join(path.str(), "agents") + ": expected an array";
+  return true;
+}
+
+/// Read a `protocols_ever` / `connected_ips` list: only its elements'
+/// types matter.
+bool read_strings(common::JsonReader& reader, const FieldPath& path,
+                  std::string_view key, ParseError& error) {
+  return read_array(reader, [&](Token token, std::size_t i) {
+    if (token != Token::kString && !error) {
+      error = FieldPath{key, i, &path}.str() + ": expected a string";
     }
-    for (std::size_t i = 0; i < list->as_array().size(); ++i) {
-      const JsonValue& entry = list->as_array()[i];
-      const FieldPath entry_path{"agents", i, &path};
-      if (auto error = require_object(entry, entry_path)) return error;
-      if (auto error = check_keys(entry, entry_path, {"at_ms", "agent"})) {
-        return error;
-      }
-      measure::AgentEvent event;
-      if (auto error = require_time(entry, "at_ms", entry_path, event.at)) {
-        return error;
-      }
-      std::string agent;
-      if (auto error = require_string(entry, "agent", entry_path, agent)) {
-        return error;
-      }
-      event.agent = common::Symbol(agent);
-      agents.push_back(event);
+    return reader.skip(token);
+  });
+}
+
+bool read_agents(common::JsonReader& reader, const FieldPath& path,
+                 std::vector<measure::AgentEvent>& agents, ParseError& error) {
+  static constexpr std::array<std::string_view, 2> kKeys = {"at_ms", "agent"};
+  return read_array(reader, [&](Token token, std::size_t i) {
+    const FieldPath entry_path{"agents", i, &path};
+    if (error) return reader.skip(token);
+    if ((error = expect_object(token, entry_path))) return reader.skip(token);
+    std::optional<std::string> unknown;
+    Member at;
+    Member agent;
+    measure::AgentEvent event;
+    const auto on_value = [&](std::size_t slot, Token value) {
+      if (slot == 0) return read_member(reader, value, at);
+      if (value == Token::kString) event.agent = common::Symbol(reader.string());
+      return read_member(reader, value, agent);
+    };
+    if (!read_object(reader, kKeys, unknown, on_value)) return false;
+    error = unknown_field(entry_path, unknown);
+    if (!error) error = require_time(at, "at_ms", entry_path, event.at);
+    if (!error) error = require_string(agent, "agent", entry_path);
+    if (!error) agents.push_back(event);
+    return true;
+  });
+}
+
+/// Read `peers[index]`, whose first token is `token`, into `record`.  Its
+/// schema error, if any, goes to `error`, checked in the order the fields
+/// are listed in the trace schema.  False on a syntax error.
+bool read_peer(common::JsonReader& reader, Token token, const FieldPath& path,
+               measure::PeerRecord& record, ParseError& error) {
+  static constexpr std::array<std::string_view, 7> kKeys = {
+      "pid",    "first_seen_ms",  "last_seen_ms", "ever_dht_server",
+      "agents", "protocols_ever", "connected_ips"};
+  if ((error = expect_object(token, path))) return reader.skip(token);
+  std::optional<std::string> unknown;
+  std::array<Member, kKeys.size()> members;
+  const auto on_value = [&](std::size_t slot, Token value) {
+    Member& member = members[slot];
+    if (slot < 4 || value != Token::kBeginArray) {
+      return read_member(reader, value, member);
     }
-  }
-  for (const std::string_view key : {"protocols_ever", "connected_ips"}) {
-    if (const JsonValue* list = value.find(key)) {
-      if (!list->is_array()) return join(path.str(), key) + ": expected an array";
-      for (std::size_t i = 0; i < list->as_array().size(); ++i) {
-        if (!list->as_array()[i].is_string()) {
-          return FieldPath{key, i, &path}.str() + ": expected a string";
-        }
-      }
+    member.token = value;
+    if (slot == 4) return read_agents(reader, path, record.agent_history, member.error);
+    return read_strings(reader, path, kKeys[slot], member.error);
+  };
+  if (!read_object(reader, kKeys, unknown, on_value)) return false;
+  error = [&]() -> ParseError {
+    if (auto e = unknown_field(path, unknown)) return e;
+    if (auto e = require_string(members[0], kKeys[0], path)) return e;
+    if (auto e = require_time(members[1], kKeys[1], path, record.first_seen)) return e;
+    if (auto e = require_time(members[2], kKeys[2], path, record.last_seen)) return e;
+    if (record.last_seen < record.first_seen) {
+      return join(path.str(), kKeys[2]) + ": must be >= first_seen_ms";
     }
+    const Token dht = members[3].token;
+    if (dht != Token::kEnd && dht != Token::kTrue && dht != Token::kFalse) {
+      return join(path.str(), kKeys[3]) + ": expected true or false";
+    }
+    record.ever_dht_server = dht == Token::kTrue;
+    for (std::size_t slot = 4; slot < kKeys.size(); ++slot) {
+      if (auto e = optional_array(members[slot], kKeys[slot], path)) return e;
+    }
+    return std::nullopt;
+  }();
+  return true;
+}
+
+constexpr measure::PeerIndex kOutOfRange =
+    std::numeric_limits<measure::PeerIndex>::max();
+
+/// The first schema error among the connections, and whether it precedes
+/// the peer-index range check (which waits for the peer count).
+struct ConnectionError {
+  std::string message;
+  bool before_range_check = false;
+};
+
+/// Read `connections[index]`, whose first token is `token`, into
+/// `record`; an error goes to `error`.  `record.peer` is left at
+/// `kOutOfRange` for an index outside 0..2^32-2.
+bool read_connection(common::JsonReader& reader, Token token, std::size_t index,
+                     measure::ConnRecord& record,
+                     std::optional<ConnectionError>& error) {
+  static constexpr std::array<std::string_view, 5> kKeys = {
+      "peer", "opened_ms", "closed_ms", "direction", "reason"};
+  const FieldPath path{"connections", index};
+  if (auto e = expect_object(token, path)) {
+    error = ConnectionError{std::move(*e), true};
+    return reader.skip(token);
   }
-  return std::nullopt;
+  std::optional<std::string> unknown;
+  std::array<Member, kKeys.size()> members;
+  const auto on_value = [&](std::size_t slot, Token value) {
+    return read_member(reader, value, members[slot]);
+  };
+  if (!read_object(reader, kKeys, unknown, on_value)) return false;
+  bool before_range_check = true;
+  ParseError message = [&]() -> ParseError {
+    if (auto e = unknown_field(path, unknown)) return e;
+    SimTime peer = 0;
+    if (auto e = require_time(members[0], kKeys[0], path, peer)) return e;
+    record.peer = peer < 0 || peer >= kOutOfRange ? kOutOfRange
+                                                  : static_cast<measure::PeerIndex>(peer);
+    before_range_check = false;
+    if (auto e = require_time(members[1], kKeys[1], path, record.opened)) return e;
+    if (auto e = require_time(members[2], kKeys[2], path, record.closed)) return e;
+    if (record.closed < record.opened) {
+      return join(path.str(), kKeys[2]) + ": must be >= opened_ms";
+    }
+    if (auto e = optional_string(members[3], kKeys[3], path)) return e;
+    return optional_string(members[4], kKeys[4], path);
+  }();
+  if (message) error = ConnectionError{std::move(*message), before_range_check};
+  return true;
 }
 
 // ---- observation extraction ------------------------------------------------
@@ -678,63 +795,73 @@ FamilySelection select_family(const std::vector<Observation>& sample) {
 
 // ---- trace ingestion -------------------------------------------------------
 
-std::string_view first_document(std::string_view text) {
-  std::size_t start = 0;
-  while (start < text.size() &&
-         (text[start] == ' ' || text[start] == '\t' || text[start] == '\n' ||
-          text[start] == '\r')) {
-    ++start;
-  }
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = start; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 0) return text.substr(start, i - start + 1);
-    }
-  }
-  return text.substr(start);  // unbalanced — let the parser report it
-}
-
 std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) {
-  const auto parsed = JsonValue::parse(first_document(text));
-  if (!parsed) return std::unexpected("trace: " + parsed.error());
-  const JsonValue& root = *parsed;
-  const FieldPath trace_path{"trace"};
-  const FieldPath root_path;
-  if (auto error = require_object(root, trace_path)) {
-    return std::unexpected(*error);
+  static constexpr std::array<std::string_view, 5> kKeys = {
+      "vantage", "measurement_start_ms", "measurement_end_ms", "peers",
+      "connections"};
+  common::JsonReader reader(text, common::JsonReader::Extent::kFirst);
+  const auto syntax_error = [&] { return std::unexpected("trace: " + reader.error()); };
+  const Token root = reader.next();
+  if (root != Token::kBeginObject) {
+    if (!reader.skip(root) || reader.next() != Token::kEnd) return syntax_error();
+    return std::unexpected("trace: expected an object, got " +
+                           std::string(type_name(root)));
   }
-  if (auto error = check_keys(root, trace_path,
-                              {"vantage", "measurement_start_ms",
-                               "measurement_end_ms", "peers", "connections"})) {
-    return std::unexpected(*error);
-  }
+  // One pass: every member is read (and syntax-checked) before any schema
+  // error is reported, and the errors then rank in the order of checks
+  // below, whatever the member order (DESIGN.md §15).
   measure::Dataset dataset;
-  if (auto error = require_string(root, "vantage", root_path, dataset.vantage)) {
+  std::optional<std::string> unknown;
+  std::array<Member, kKeys.size()> members;
+  std::size_t peer_count = 0;
+  ParseError peer_error;
+  std::optional<ConnectionError> connection_error;
+  const auto on_value = [&](std::size_t slot, Token value) {
+    if (slot == 0 && value == Token::kString) dataset.vantage = reader.string();
+    if (slot < 3 || value != Token::kBeginArray) {
+      return read_member(reader, value, members[slot]);
+    }
+    members[slot].token = value;
+    if (slot == 3) {
+      return read_array(reader, [&](Token token, std::size_t i) {
+        ++peer_count;
+        if (peer_error) return reader.skip(token);
+        measure::PeerRecord record;
+        if (!read_peer(reader, token, FieldPath{"peers", i}, record, peer_error)) {
+          return false;
+        }
+        if (peer_error) return true;
+        // The PID string is identity only here; re-intern a synthetic PeerId
+        // per index (PeerIds are opaque hashes, not parseable strings).
+        record.pid = p2p::PeerId::from_seed(i);
+        dataset.record(dataset.intern(record.pid, record.first_seen)) = std::move(record);
+        return true;
+      });
+    }
+    return read_array(reader, [&](Token token, std::size_t i) {
+      if (connection_error) return reader.skip(token);
+      measure::ConnRecord record;
+      if (!read_connection(reader, token, i, record, connection_error)) return false;
+      if (!connection_error || !connection_error->before_range_check) {
+        dataset.add_connection(record);
+      }
+      return true;
+    });
+  };
+  if (!read_object(reader, kKeys, unknown, on_value)) return syntax_error();
+
+  const FieldPath root_path;
+  if (auto error = unknown_field(FieldPath{"trace"}, unknown)) {
     return std::unexpected(*error);
   }
-  if (auto error = require_time(root, "measurement_start_ms", root_path,
+  if (auto error = require_string(members[0], kKeys[0], root_path)) {
+    return std::unexpected(*error);
+  }
+  if (auto error = require_time(members[1], kKeys[1], root_path,
                                 dataset.measurement_start)) {
     return std::unexpected(*error);
   }
-  if (auto error = require_time(root, "measurement_end_ms", root_path,
+  if (auto error = require_time(members[2], kKeys[2], root_path,
                                 dataset.measurement_end)) {
     return std::unexpected(*error);
   }
@@ -742,78 +869,15 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
     return std::unexpected(
         "measurement_end_ms: must be >= measurement_start_ms");
   }
-  const JsonValue* peers = nullptr;
-  if (auto error = require_array(root, "peers", root_path, peers)) {
-    return std::unexpected(*error);
+  if (!members[3].present()) return std::unexpected("peers: missing required field");
+  if (members[3].token != Token::kBeginArray) {
+    return std::unexpected("peers: expected an array");
   }
-  if (peers->as_array().empty()) {
+  if (peer_count == 0) {
     return std::unexpected("peers: dataset is empty — nothing to calibrate");
   }
-  for (std::size_t i = 0; i < peers->as_array().size(); ++i) {
-    const FieldPath path{"peers", i};
-    SimTime first_seen = 0;
-    SimTime last_seen = 0;
-    bool ever_dht_server = false;
-    std::vector<measure::AgentEvent> agents;
-    if (auto error = parse_peer(peers->as_array()[i], path, first_seen,
-                                last_seen, ever_dht_server, agents)) {
-      return std::unexpected(*error);
-    }
-    // The PID string is identity only here; re-intern a synthetic PeerId
-    // per index (PeerIds are opaque hashes, not parseable strings).
-    const measure::PeerIndex index =
-        dataset.intern(p2p::PeerId::from_seed(i), first_seen);
-    measure::PeerRecord& record = dataset.record(index);
-    record.first_seen = first_seen;
-    record.last_seen = last_seen;
-    record.ever_dht_server = ever_dht_server;
-    record.agent_history = std::move(agents);
-  }
-  if (const JsonValue* connections = root.find("connections")) {
-    if (!connections->is_array()) {
-      return std::unexpected("connections: expected an array");
-    }
-    for (std::size_t i = 0; i < connections->as_array().size(); ++i) {
-      const JsonValue& entry = connections->as_array()[i];
-      const FieldPath path{"connections", i};
-      if (auto error = require_object(entry, path)) {
-        return std::unexpected(*error);
-      }
-      if (auto error = check_keys(
-              entry, path, {"peer", "opened_ms", "closed_ms", "direction",
-                            "reason"})) {
-        return std::unexpected(*error);
-      }
-      measure::ConnRecord record;
-      SimTime peer_index = 0;
-      if (auto error = require_time(entry, "peer", path, peer_index)) {
-        return std::unexpected(*error);
-      }
-      if (peer_index < 0 ||
-          static_cast<std::size_t>(peer_index) >= dataset.peer_count()) {
-        return std::unexpected(join(path.str(), "peer") + ": index out of range");
-      }
-      record.peer = static_cast<measure::PeerIndex>(peer_index);
-      if (auto error = require_time(entry, "opened_ms", path, record.opened)) {
-        return std::unexpected(*error);
-      }
-      if (auto error = require_time(entry, "closed_ms", path, record.closed)) {
-        return std::unexpected(*error);
-      }
-      if (record.closed < record.opened) {
-        return std::unexpected(join(path.str(), "closed_ms") +
-                               ": must be >= opened_ms");
-      }
-      for (const std::string_view key : {"direction", "reason"}) {
-        if (const JsonValue* field = entry.find(key)) {
-          if (!field->is_string()) {
-            return std::unexpected(join(path.str(), key) + ": expected a string");
-          }
-        }
-      }
-      dataset.add_connection(record);
-    }
-  } else {
+  if (peer_error) return std::unexpected(*peer_error);
+  if (!members[4].present()) {
     // Peer-record-only traces (the JsonExportSink default): approximate
     // each peer's presence by one connection spanning first..last seen.
     for (measure::PeerIndex i = 0; i < dataset.peer_count(); ++i) {
@@ -824,7 +888,20 @@ std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) 
       conn.closed = record.last_seen;
       dataset.add_connection(conn);
     }
+    return dataset;
   }
+  if (auto error = optional_array(members[4], kKeys[4], root_path)) {
+    return std::unexpected(*error);
+  }
+  // The range check waits for the peer count: "connections" may come
+  // before "peers".  It precedes a connection's later checks.
+  for (std::size_t i = 0; i < dataset.connection_count(); ++i) {
+    if (dataset.connections()[i].peer >= dataset.peer_count()) {
+      return std::unexpected(FieldPath{"connections", i}.str() +
+                             ".peer: index out of range");
+    }
+  }
+  if (connection_error) return std::unexpected(connection_error->message);
   return dataset;
 }
 

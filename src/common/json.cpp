@@ -1,12 +1,10 @@
 #include "common/json.hpp"
 
 #include <cassert>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 
 namespace ipfs::common {
@@ -112,277 +110,360 @@ void JsonWriter::null() {
   need_comma_ = true;
 }
 
+// ---- JsonReader -------------------------------------------------------------
+
+JsonReader::Token JsonReader::fail(std::string_view message) {
+  std::size_t line = 1;
+  std::size_t column = 1;
+  for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+    if (text_[i] == '\n') {
+      ++line;
+      column = 1;
+    } else {
+      ++column;
+    }
+  }
+  error_ = std::to_string(line) + ":" + std::to_string(column) + ": ";
+  error_ += message;
+  expect_ = Expect::kError;
+  return Token::kError;
+}
+
+void JsonReader::skip_whitespace() noexcept {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
+  }
+}
+
+JsonReader::Token JsonReader::next() {
+  switch (expect_) {
+    case Expect::kValue: return read_value();
+    case Expect::kFirstMember: {
+      const bool object = in_object_[depth_ - 1];
+      skip_whitespace();
+      if (pos_ < text_.size() && text_[pos_] == (object ? '}' : ']')) {
+        ++pos_;
+        return close(object ? Token::kEndObject : Token::kEndArray);
+      }
+      return object ? read_key() : read_value();
+    }
+    case Expect::kAfterValue: return after_value();
+    case Expect::kEnd: return Token::kEnd;
+    case Expect::kError: break;
+  }
+  return Token::kError;
+}
+
+bool JsonReader::skip(Token token) {
+  int open = 0;
+  while (true) {
+    switch (token) {
+      case Token::kBeginObject:
+      case Token::kBeginArray: ++open; break;
+      case Token::kEndObject:
+      case Token::kEndArray: --open; break;
+      case Token::kError: return false;
+      default: break;
+    }
+    if (open == 0) return true;
+    token = next();
+  }
+}
+
+JsonReader::Token JsonReader::read_value() {
+  skip_whitespace();
+  if (pos_ >= text_.size()) return fail("unexpected end of input");
+  if (depth_ > kMaxDepth) return fail("nesting deeper than 128 levels");
+  const auto literal = [this](std::string_view word, Token token) {
+    if (text_.substr(pos_, word.size()) != word) {
+      return fail("invalid literal (expected '" + std::string(word) + "')");
+    }
+    pos_ += word.size();
+    expect_ = Expect::kAfterValue;
+    return token;
+  };
+  switch (text_[pos_]) {
+    case '{':
+      ++pos_;
+      in_object_[depth_++] = true;
+      expect_ = Expect::kFirstMember;
+      return Token::kBeginObject;
+    case '[':
+      ++pos_;
+      in_object_[depth_++] = false;
+      expect_ = Expect::kFirstMember;
+      return Token::kBeginArray;
+    case '"':
+      if (!read_string()) return Token::kError;
+      expect_ = Expect::kAfterValue;
+      return Token::kString;
+    case 't': return literal("true", Token::kTrue);
+    case 'f': return literal("false", Token::kFalse);
+    case 'n': return literal("null", Token::kNull);
+    default: return read_number();
+  }
+}
+
+JsonReader::Token JsonReader::read_key() {
+  skip_whitespace();
+  if (pos_ >= text_.size() || text_[pos_] != '"') {
+    return fail("expected '\"' to start object key");
+  }
+  if (!read_string()) return Token::kError;
+  skip_whitespace();
+  if (pos_ >= text_.size() || text_[pos_] != ':') {
+    return fail("expected ':' after object key");
+  }
+  ++pos_;
+  expect_ = Expect::kValue;
+  return Token::kKey;
+}
+
+JsonReader::Token JsonReader::after_value() {
+  skip_whitespace();
+  if (depth_ == 0) {
+    if (pos_ != text_.size()) return fail("trailing content after document");
+    expect_ = Expect::kEnd;
+    return Token::kEnd;
+  }
+  const bool object = in_object_[depth_ - 1];
+  if (pos_ >= text_.size()) {
+    return fail(object ? "unterminated object" : "unterminated array");
+  }
+  const char c = text_[pos_];
+  if (c == ',') {
+    ++pos_;
+    return object ? read_key() : read_value();
+  }
+  if (c == (object ? '}' : ']')) {
+    ++pos_;
+    return close(object ? Token::kEndObject : Token::kEndArray);
+  }
+  return fail(object ? "expected ',' or '}' in object"
+                     : "expected ',' or ']' in array");
+}
+
+JsonReader::Token JsonReader::close(Token token) {
+  --depth_;
+  expect_ = depth_ == 0 && extent_ == Extent::kFirst ? Expect::kEnd
+                                                     : Expect::kAfterValue;
+  return token;
+}
+
+bool JsonReader::read_string() {
+  const auto error = [this](std::string_view message) {
+    fail(message);
+    return false;
+  };
+  const std::size_t start = ++pos_;  // past the opening quote
+  bool unescaped = false;            // the text so far is in buffer_
+  while (true) {
+    // The run up to the next quote, escape or control character, in one
+    // piece.
+    const std::size_t run = pos_;
+    while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\' &&
+           static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+      ++pos_;
+    }
+    if (unescaped) buffer_.append(text_.substr(run, pos_ - run));
+    if (pos_ >= text_.size()) return error("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') {
+      string_ = unescaped ? std::string_view(buffer_)
+                          : text_.substr(start, pos_ - 1 - start);
+      return true;
+    }
+    if (c != '\\') {
+      --pos_;
+      return error("unescaped control character in string");
+    }
+    if (!unescaped) {
+      buffer_.assign(text_.substr(start, pos_ - 1 - start));
+      unescaped = true;
+    }
+    if (pos_ >= text_.size()) return error("unterminated escape sequence");
+    const char escape = text_[pos_++];
+    switch (escape) {
+      case '"': buffer_.push_back('"'); break;
+      case '\\': buffer_.push_back('\\'); break;
+      case '/': buffer_.push_back('/'); break;
+      case 'b': buffer_.push_back('\b'); break;
+      case 'f': buffer_.push_back('\f'); break;
+      case 'n': buffer_.push_back('\n'); break;
+      case 'r': buffer_.push_back('\r'); break;
+      case 't': buffer_.push_back('\t'); break;
+      case 'u': {
+        const std::size_t digits = pos_;
+        if (pos_ + 4 > text_.size()) return error("truncated \\u escape");
+        unsigned code = 0;
+        for (int i = 0; i < 4; ++i) {
+          const char h = text_[pos_++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') {
+            code |= static_cast<unsigned>(h - '0');
+          } else if (h >= 'a' && h <= 'f') {
+            code |= static_cast<unsigned>(h - 'a' + 10);
+          } else if (h >= 'A' && h <= 'F') {
+            code |= static_cast<unsigned>(h - 'A' + 10);
+          } else if (root_closes_before(digits, digits + 4)) {
+            pos_ = digits;
+            return error("truncated \\u escape");
+          } else {
+            return error("invalid hex digit in \\u escape");
+          }
+        }
+        // UTF-8 encode the BMP code point (surrogate pairs unsupported —
+        // scenario files are ASCII in practice).
+        if (code < 0x80) {
+          buffer_.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          buffer_.push_back(static_cast<char>(0xc0 | (code >> 6)));
+          buffer_.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        } else {
+          buffer_.push_back(static_cast<char>(0xe0 | (code >> 12)));
+          buffer_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+          buffer_.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        }
+        break;
+      }
+      default: return error("invalid escape character");
+    }
+  }
+}
+
+bool JsonReader::root_closes_before(std::size_t from, std::size_t end) const {
+  if (extent_ != Extent::kFirst) return false;
+  // Balance brackets from `from`, inside a string, as a splitter that
+  // takes every escape for one byte would; it ends the first document at
+  // the bracket that brings the depth back to 0.
+  int depth = depth_;
+  bool in_string = true;
+  bool escaped = false;
+  for (std::size_t i = from; i + 1 < end; ++i) {
+    const char c = text_[i];
+    if (in_string) {
+      if (escaped) {
+        escaped = false;
+      } else if (c == '\\') {
+        escaped = true;
+      } else if (c == '"') {
+        in_string = false;
+      }
+    } else if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+JsonReader::Token JsonReader::read_number() {
+  const std::size_t start = pos_;
+  const auto digit = [this] {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  };
+  bool integral = true;
+  negative_ = text_[pos_] == '-';
+  if (negative_) ++pos_;
+  if (!digit()) {
+    pos_ = start;
+    return fail("invalid value");
+  }
+  const std::size_t int_part = pos_;
+  while (digit()) ++pos_;
+  if (text_[int_part] == '0' && pos_ - int_part > 1) {
+    return fail("leading zeros are not allowed");  // RFC 8259
+  }
+  if (pos_ < text_.size() && text_[pos_] == '.') {
+    integral = false;
+    ++pos_;
+    if (!digit()) return fail("digit expected after decimal point");
+    while (digit()) ++pos_;
+  }
+  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    integral = false;
+    ++pos_;
+    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) ++pos_;
+    if (!digit()) return fail("digit expected in exponent");
+    while (digit()) ++pos_;
+  }
+  // An integer beyond 64 bits keeps only its double value.
+  integral_ = integral && std::from_chars(text_.data() + int_part,
+                                          text_.data() + pos_, magnitude_)
+                                  .ec == std::errc();
+  string_ = text_.substr(start, pos_ - start);
+  expect_ = Expect::kAfterValue;
+  return Token::kNumber;
+}
+
+std::optional<std::int64_t> JsonReader::int64() const noexcept {
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (!integral_ || magnitude_ > kMax + (negative_ ? 1 : 0)) return std::nullopt;
+  if (!negative_) return static_cast<std::int64_t>(magnitude_);
+  return magnitude_ == kMax + 1 ? std::numeric_limits<std::int64_t>::min()
+                                : -static_cast<std::int64_t>(magnitude_);
+}
+
+double JsonReader::number() const {
+  const std::string lexeme(string_);
+  return std::strtod(lexeme.c_str(), nullptr);
+}
+
 // ---- JsonValue --------------------------------------------------------------
 
 namespace {
 
-/// Recursive-descent parser over a string_view with line:column tracking.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
+using Token = JsonReader::Token;
 
-  std::expected<JsonValue, std::string> run() {
-    skip_whitespace();
-    auto value = parse_value();
-    if (!value) return value;
-    skip_whitespace();
-    if (pos_ != text_.size()) return fail("trailing content after document");
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 128;
-
-  [[nodiscard]] std::unexpected<std::string> fail(std::string message) const {
-    std::size_t line = 1;
-    std::size_t column = 1;
-    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-      if (text_[i] == '\n') {
-        ++line;
-        column = 1;
+/// Build the value whose first token `token` is; false on a syntax error
+/// (the reader holds it).
+bool build(JsonReader& reader, Token token, JsonValue& out) {
+  switch (token) {
+    case Token::kBeginObject: {
+      JsonValue::Object members;
+      while ((token = reader.next()) == Token::kKey) {
+        std::string key(reader.string());
+        JsonValue value;
+        if (!build(reader, reader.next(), value)) return false;
+        members.emplace_back(std::move(key), std::move(value));
+      }
+      out = JsonValue::make_object(std::move(members));
+      return token == Token::kEndObject;
+    }
+    case Token::kBeginArray: {
+      JsonValue::Array elements;
+      while ((token = reader.next()) != Token::kEndArray) {
+        JsonValue value;
+        if (!build(reader, token, value)) return false;
+        elements.push_back(std::move(value));
+      }
+      out = JsonValue::make_array(std::move(elements));
+      return true;
+    }
+    case Token::kString:
+      out = JsonValue::make_string(std::string(reader.string()));
+      return true;
+    case Token::kNumber:
+      if (const auto natural = reader.uint64()) {
+        out = JsonValue::make_unsigned(*natural);
+      } else if (const auto integer = reader.int64()) {
+        out = JsonValue::make_integer(*integer);
       } else {
-        ++column;
+        out = JsonValue::make_number(reader.number());
       }
-    }
-    return std::unexpected(std::to_string(line) + ":" + std::to_string(column) +
-                           ": " + std::move(message));
+      return true;
+    case Token::kTrue: out = JsonValue::make_bool(true); return true;
+    case Token::kFalse: out = JsonValue::make_bool(false); return true;
+    case Token::kNull: out = JsonValue(); return true;
+    default: return false;  // kError (kEnd and closing tokens never start a value)
   }
-
-  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const noexcept { return text_[pos_]; }
-
-  void skip_whitespace() {
-    while (!at_end()) {
-      const char c = peek();
-      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-  }
-
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  std::expected<JsonValue, std::string> parse_value() {
-    if (at_end()) return fail("unexpected end of input");
-    if (depth_ > kMaxDepth) return fail("nesting deeper than 128 levels");
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        auto text = parse_string();
-        if (!text) return std::unexpected(std::move(text).error());
-        return JsonValue::make_string(std::move(*text));
-      }
-      case 't':
-        if (consume_literal("true")) return JsonValue::make_bool(true);
-        return fail("invalid literal (expected 'true')");
-      case 'f':
-        if (consume_literal("false")) return JsonValue::make_bool(false);
-        return fail("invalid literal (expected 'false')");
-      case 'n':
-        if (consume_literal("null")) return JsonValue::make_null();
-        return fail("invalid literal (expected 'null')");
-      default: return parse_number();
-    }
-  }
-
-  std::expected<JsonValue, std::string> parse_object() {
-    ++pos_;  // '{'
-    ++depth_;
-    JsonValue::Object members;
-    skip_whitespace();
-    if (!at_end() && peek() == '}') {
-      ++pos_;
-      --depth_;
-      return JsonValue::make_object(std::move(members));
-    }
-    while (true) {
-      skip_whitespace();
-      if (at_end() || peek() != '"') return fail("expected '\"' to start object key");
-      auto key = parse_string();
-      if (!key) return std::unexpected(std::move(key).error());
-      skip_whitespace();
-      if (at_end() || peek() != ':') return fail("expected ':' after object key");
-      ++pos_;
-      skip_whitespace();
-      auto value = parse_value();
-      if (!value) return value;
-      members.emplace_back(std::move(*key), std::move(*value));
-      skip_whitespace();
-      if (at_end()) return fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        --depth_;
-        return JsonValue::make_object(std::move(members));
-      }
-      return fail("expected ',' or '}' in object");
-    }
-  }
-
-  std::expected<JsonValue, std::string> parse_array() {
-    ++pos_;  // '['
-    ++depth_;
-    JsonValue::Array elements;
-    skip_whitespace();
-    if (!at_end() && peek() == ']') {
-      ++pos_;
-      --depth_;
-      return JsonValue::make_array(std::move(elements));
-    }
-    while (true) {
-      skip_whitespace();
-      auto value = parse_value();
-      if (!value) return value;
-      elements.push_back(std::move(*value));
-      skip_whitespace();
-      if (at_end()) return fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        --depth_;
-        return JsonValue::make_array(std::move(elements));
-      }
-      return fail("expected ',' or ']' in array");
-    }
-  }
-
-  std::expected<std::string, std::string> parse_string() {
-    ++pos_;  // opening quote
-    std::string out;
-    while (true) {
-      // Append the run up to the next quote, escape or control character
-      // in one piece.
-      const std::size_t run = pos_;
-      while (!at_end() && peek() != '"' && peek() != '\\' &&
-             static_cast<unsigned char>(peek()) >= 0x20) {
-        ++pos_;
-      }
-      out.append(text_.substr(run, pos_ - run));
-      if (at_end()) return fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        --pos_;
-        return fail("unescaped control character in string");
-      }
-      if (at_end()) return fail("unterminated escape sequence");
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return fail("invalid hex digit in \\u escape");
-            }
-          }
-          // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-          // scenario files are ASCII in practice).
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          } else {
-            out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          }
-          break;
-        }
-        default: return fail("invalid escape character");
-      }
-    }
-  }
-
-  std::expected<JsonValue, std::string> parse_number() {
-    const std::size_t start = pos_;
-    bool integral = true;
-    if (!at_end() && peek() == '-') ++pos_;
-    if (at_end() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-      pos_ = start;
-      return fail("invalid value");
-    }
-    const std::size_t int_part = pos_;
-    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (text_[int_part] == '0' && pos_ - int_part > 1) {
-      return fail("leading zeros are not allowed");  // RFC 8259
-    }
-    if (!at_end() && peek() == '.') {
-      integral = false;
-      ++pos_;
-      if (at_end() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-        return fail("digit expected after decimal point");
-      }
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
-      integral = false;
-      ++pos_;
-      if (!at_end() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (at_end() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-        return fail("digit expected in exponent");
-      }
-      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (integral) {
-      const bool negative = text_[start] == '-';
-      std::uint64_t magnitude = 0;
-      const std::errc error =
-          std::from_chars(text_.data() + (negative ? start + 1 : start),
-                          text_.data() + pos_, magnitude)
-              .ec;
-      const auto int64_min_magnitude =
-          static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) + 1;
-      if (error == std::errc()) {
-        if (!negative) return JsonValue::make_unsigned(magnitude);
-        if (magnitude <= int64_min_magnitude) {
-          return JsonValue::make_integer(
-              magnitude == int64_min_magnitude
-                  ? std::numeric_limits<std::int64_t>::min()
-                  : -static_cast<std::int64_t>(magnitude));
-        }
-      }
-      // Out-of-range integers fall back to double semantics.
-    }
-    const std::string lexeme(text_.substr(start, pos_ - start));
-    const double parsed = std::strtod(lexeme.c_str(), nullptr);
-    return JsonValue::make_number(parsed);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-};
+}
 
 }  // namespace
 
@@ -527,7 +608,12 @@ JsonValue JsonValue::make_object(Object o) {
 }
 
 std::expected<JsonValue, std::string> JsonValue::parse(std::string_view text) {
-  return Parser(text).run();
+  JsonReader reader(text);
+  JsonValue root;
+  if (!build(reader, reader.next(), root) || reader.next() != Token::kEnd) {
+    return std::unexpected(reader.error());
+  }
+  return root;
 }
 
 std::string JsonWriter::escape(std::string_view text) {

@@ -1,13 +1,19 @@
-// Minimal JSON support: a streaming writer and a small DOM parser.
+// Minimal JSON support: a streaming writer, a pull reader and a small DOM.
 //
 // The paper's measurement clients export their records periodically to JSON
 // files; `measure::Dataset` uses the writer for the same purpose.  Writing
 // is streaming (no DOM) so multi-day campaign exports stay O(1) in memory.
-// Reading is DOM-based (`JsonValue::parse`): configuration inputs such as
-// `scenario::ScenarioSpec` files are tiny, and a DOM makes validation
-// errors precise ("period.duration_ms: expected a number").
+// Reading goes through one tokenizer, `JsonReader`, which yields tokens
+// without building anything: measured traces are read with it straight
+// into a `measure::Dataset` (`analysis::calibrate::parse_trace`).
+// `JsonValue::parse` builds a DOM on top of the same reader for
+// configuration inputs such as `scenario::ScenarioSpec` files, which are
+// tiny and whose validation errors name a field path
+// ("period.duration_ms: expected a number").  Both report syntax errors
+// with the same "line:column: message" text.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <expected>
 #include <optional>
@@ -78,6 +84,121 @@ class JsonWriter {
   bool need_comma_ = false;
   bool after_key_ = false;
   std::vector<Scope> scopes_;
+};
+
+/// Pull tokenizer over one JSON text (RFC 8259 subset: no \uXXXX surrogate
+/// pairs outside the BMP; at most 128 nested levels hold values).
+///
+/// Usage:
+///   JsonReader reader(text);
+///   for (auto token = reader.next(); token != JsonReader::Token::kEnd;
+///        token = reader.next()) {
+///     if (token == JsonReader::Token::kError) return reader.error();
+///     ...
+///   }
+///
+/// Object members arrive as a `kKey` token followed by the tokens of the
+/// value.  `string()` is the unescaped text of the current key or string
+/// (or the lexeme of a number): a view into the input when the text holds
+/// no escape, else into a buffer the next `next()` reuses.  Syntax errors
+/// read "line:column: message", counted from the first byte of the text;
+/// after one, `next()` keeps returning `kError`.
+class JsonReader {
+ public:
+  enum class Token : std::uint8_t {
+    kBeginObject,
+    kEndObject,
+    kBeginArray,
+    kEndArray,
+    kKey,
+    kString,
+    kNumber,
+    kTrue,
+    kFalse,
+    kNull,
+    kEnd,    ///< the document is complete
+    kError,  ///< see `error()`
+  };
+
+  /// How much of the text is the document.
+  enum class Extent : std::uint8_t {
+    /// The whole text: anything but whitespace after the document is an
+    /// error ("trailing content after document").
+    kWhole,
+    /// The first document of a stream of them (a `measure::JsonExportSink`
+    /// file holds the dataset document, then the sample documents).
+    /// Reading stops where a root object or array closes; a scalar root
+    /// must still end the text.  A `\u` escape whose four digits run past
+    /// the bracket that would close the root, were that escape one byte
+    /// long, reads as truncated, as when the document was cut out of the
+    /// stream by balancing brackets.
+    kFirst,
+  };
+
+  explicit JsonReader(std::string_view text, Extent extent = Extent::kWhole)
+      : text_(text), extent_(extent) {}
+
+  JsonReader(const JsonReader&) = delete;
+  JsonReader& operator=(const JsonReader&) = delete;
+
+  [[nodiscard]] Token next();
+
+  /// Consume the rest of the value whose first token `token` was (nothing
+  /// more for a scalar).  False on a syntax error.
+  bool skip(Token token);
+
+  /// The current key or string, unescaped, or the lexeme of a number.
+  [[nodiscard]] std::string_view string() const noexcept { return string_; }
+
+  /// The current number as an `int64`: engaged only when its lexeme is an
+  /// integer (no '.' or exponent) within range.
+  [[nodiscard]] std::optional<std::int64_t> int64() const noexcept;
+  /// The current number as a `uint64`: engaged only when its lexeme is an
+  /// integer without a '-' and within range.
+  [[nodiscard]] std::optional<std::uint64_t> uint64() const noexcept {
+    if (!integral_ || negative_) return std::nullopt;
+    return magnitude_;
+  }
+  /// The current number as the nearest double (as `strtod`).
+  [[nodiscard]] double number() const;
+
+  /// "line:column: message" after `kError`.
+  [[nodiscard]] const std::string& error() const noexcept { return error_; }
+
+ private:
+  static constexpr int kMaxDepth = 128;
+
+  enum class Expect : std::uint8_t {
+    kValue,
+    kFirstMember,  ///< just after '{' or '['
+    kAfterValue,
+    kEnd,
+    kError,
+  };
+
+  Token fail(std::string_view message);
+  Token read_value();
+  Token read_key();
+  Token read_number();
+  Token after_value();
+  Token close(Token token);
+  bool read_string();
+  [[nodiscard]] bool root_closes_before(std::size_t from, std::size_t end) const;
+  void skip_whitespace() noexcept;
+
+  std::string_view text_;
+  Extent extent_;
+  std::size_t pos_ = 0;
+  Expect expect_ = Expect::kValue;
+  int depth_ = 0;
+  /// `true` for an object at each open level (at most kMaxDepth + 1).
+  std::array<bool, kMaxDepth + 1> in_object_{};
+  std::string_view string_;
+  std::string buffer_;
+  bool integral_ = false;
+  bool negative_ = false;
+  std::uint64_t magnitude_ = 0;
+  std::string error_;
 };
 
 /// A parsed JSON document (RFC 8259 subset: no duplicate-key policy beyond

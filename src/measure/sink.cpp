@@ -1,6 +1,7 @@
 #include "measure/sink.hpp"
 
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -130,23 +131,39 @@ void FanOutSink::on_run_end(const RunSummary& summary) {
 namespace {
 
 /// Minimal write-only streambuf over a C `FILE*`: lets a `JsonWriter`
-/// render straight into a `std::tmpfile()` spool.
+/// render straight into a `std::tmpfile()` spool.  Output collects in a
+/// 64 KiB put area, drained to the file when it fills and on `sync`
+/// (`flush`); without it every character would be one locked `fputc`.
+/// The destructor does not drain: the spool closes the file first.
 class FileStreambuf final : public std::streambuf {
  public:
-  explicit FileStreambuf(std::FILE* file) : file_(file) {}
+  explicit FileStreambuf(std::FILE* file)
+      : file_(file), buffer_(std::make_unique<char[]>(kBufferSize)) {
+    setp(buffer_.get(), buffer_.get() + kBufferSize);
+  }
 
  protected:
   int overflow(int ch) override {
-    if (traits_type::eq_int_type(ch, traits_type::eof())) return 0;
-    return std::fputc(ch, file_) == EOF ? traits_type::eof() : ch;
+    if (!drain()) return traits_type::eof();
+    if (traits_type::eq_int_type(ch, traits_type::eof())) return traits_type::not_eof(ch);
+    *pptr() = traits_type::to_char_type(ch);
+    pbump(1);
+    return ch;
   }
-  std::streamsize xsputn(const char* data, std::streamsize count) override {
-    return static_cast<std::streamsize>(
-        std::fwrite(data, 1, static_cast<std::size_t>(count), file_));
-  }
+  int sync() override { return drain() ? 0 : -1; }
 
  private:
+  static constexpr std::size_t kBufferSize = std::size_t{1} << 16;
+
+  bool drain() {
+    const auto count = static_cast<std::size_t>(pptr() - pbase());
+    const bool written = std::fwrite(pbase(), 1, count, file_) == count;
+    setp(buffer_.get(), buffer_.get() + kBufferSize);
+    return written;
+  }
+
   std::FILE* file_;
+  std::unique_ptr<char[]> buffer_;
 };
 
 }  // namespace
@@ -201,6 +218,7 @@ void JsonExportSink::splice(std::unique_ptr<Spool>& slot) {
   slot->writer->end_object();
   *slot->stream << "\n";
   slot->stream->flush();
+  if (!*slot->stream) out_.setstate(std::ios_base::failbit);  // spool write failed
   if (slot->file != nullptr) {
     std::fflush(slot->file);
     std::rewind(slot->file);

@@ -3,17 +3,28 @@
 // family, KS-based family selection with the parsimony tie-break, the
 // goodness-of-fit statistics against analytic oracles, bit-exact agreement
 // of the fitters with a straightforward reference implementation, the
-// multi-document splitter, and the strict malformed-trace corpus.
+// first-document rule, the strict malformed-trace corpus, and a seeded
+// differential check of the streaming trace reader against the DOM path
+// it replaced.
 #include "analysis/calibration.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
+#include <expected>
 #include <limits>
+#include <random>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/json.hpp"
@@ -495,19 +506,604 @@ TEST(CalibrationOracle, ASingleDistinctValueMatchesBitForBit) {
   expect_matches_reference(mixed, "single value, half censored");
 }
 
-// ---- the document splitter -------------------------------------------------
+// ---- the first document of a stream ----------------------------------------
 
-TEST(CalibrationTrace, FirstDocumentStopsAtTheFirstBalancedClose) {
-  const std::string text =
-      "{\n  \"a\": \"}{ not a brace\",\n  \"b\": [1, 2]\n}\n{\n  \"second\": 1\n}\n";
-  EXPECT_EQ(first_document(text),
-            "{\n  \"a\": \"}{ not a brace\",\n  \"b\": [1, 2]\n}");
+TEST(CalibrationTrace, ReadsOnlyTheFirstDocument) {
+  const std::string first =
+      "{\n  \"vantage\": \"}{ not a brace\",\n  \"measurement_start_ms\": 0,\n"
+      "  \"measurement_end_ms\": 9,\n  \"peers\": [{\"pid\": \"Qm\", "
+      "\"first_seen_ms\": 1, \"last_seen_ms\": 2}]\n}";
+  const auto dataset = parse_trace(first + "\n{\n  \"second\": 1\n}\n} not JSON");
+  ASSERT_TRUE(dataset.has_value()) << dataset.error();
+  EXPECT_EQ(dataset->vantage, "}{ not a brace");
+  EXPECT_EQ(dataset->peer_count(), 1u);
 }
 
-TEST(CalibrationTrace, FirstDocumentHandlesEscapedQuotes) {
-  const std::string text = "{\"a\": \"\\\"}\"}{\"b\": 2}";
-  EXPECT_EQ(first_document(text), "{\"a\": \"\\\"}\"}");
+TEST(CalibrationTrace, EscapedQuotesDoNotEndTheFirstDocument) {
+  const auto dataset = parse_trace(
+      "{\"vantage\": \"\\\"}\", \"measurement_start_ms\": 0, "
+      "\"measurement_end_ms\": 9, \"peers\": [{\"pid\": \"Qm\", "
+      "\"first_seen_ms\": 1, \"last_seen_ms\": 2}]}{\"b\": 2}");
+  ASSERT_TRUE(dataset.has_value()) << dataset.error();
+  EXPECT_EQ(dataset->vantage, "\"}");
 }
+
+// ---- the DOM oracle --------------------------------------------------------
+
+// `parse_trace` reads the trace in one streaming pass.  The reference below
+// is the DOM path it replaced, copied verbatim: the recursive-descent
+// parser `JsonValue::parse` used to run, the splitter that cut the first
+// document out of the stream, and the schema walk over the tree.  The
+// streaming path must give the same `Dataset` (same export bytes) or the
+// same error text on every input; the one intended difference is that a
+// syntax error's line:column now counts leading blanks too.
+namespace dom {
+
+using common::JsonValue;
+using common::SimTime;
+
+
+/// Recursive-descent parser over a string_view with line:column tracking.
+class Parser {
+ public:
+  explicit Parser(std::string_view text) : text_(text) {}
+
+  std::expected<JsonValue, std::string> run() {
+    skip_whitespace();
+    auto value = parse_value();
+    if (!value) return value;
+    skip_whitespace();
+    if (pos_ != text_.size()) return fail("trailing content after document");
+    return value;
+  }
+
+ private:
+  static constexpr int kMaxDepth = 128;
+
+  [[nodiscard]] std::unexpected<std::string> fail(std::string message) const {
+    std::size_t line = 1;
+    std::size_t column = 1;
+    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+      if (text_[i] == '\n') {
+        ++line;
+        column = 1;
+      } else {
+        ++column;
+      }
+    }
+    return std::unexpected(std::to_string(line) + ":" + std::to_string(column) +
+                           ": " + std::move(message));
+  }
+
+  [[nodiscard]] bool at_end() const noexcept { return pos_ >= text_.size(); }
+  [[nodiscard]] char peek() const noexcept { return text_[pos_]; }
+
+  void skip_whitespace() {
+    while (!at_end()) {
+      const char c = peek();
+      if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+        ++pos_;
+      } else {
+        break;
+      }
+    }
+  }
+
+  bool consume_literal(std::string_view literal) {
+    if (text_.substr(pos_, literal.size()) != literal) return false;
+    pos_ += literal.size();
+    return true;
+  }
+
+  std::expected<JsonValue, std::string> parse_value() {
+    if (at_end()) return fail("unexpected end of input");
+    if (depth_ > kMaxDepth) return fail("nesting deeper than 128 levels");
+    switch (peek()) {
+      case '{': return parse_object();
+      case '[': return parse_array();
+      case '"': {
+        auto text = parse_string();
+        if (!text) return std::unexpected(std::move(text).error());
+        return JsonValue::make_string(std::move(*text));
+      }
+      case 't':
+        if (consume_literal("true")) return JsonValue::make_bool(true);
+        return fail("invalid literal (expected 'true')");
+      case 'f':
+        if (consume_literal("false")) return JsonValue::make_bool(false);
+        return fail("invalid literal (expected 'false')");
+      case 'n':
+        if (consume_literal("null")) return JsonValue::make_null();
+        return fail("invalid literal (expected 'null')");
+      default: return parse_number();
+    }
+  }
+
+  std::expected<JsonValue, std::string> parse_object() {
+    ++pos_;  // '{'
+    ++depth_;
+    JsonValue::Object members;
+    skip_whitespace();
+    if (!at_end() && peek() == '}') {
+      ++pos_;
+      --depth_;
+      return JsonValue::make_object(std::move(members));
+    }
+    while (true) {
+      skip_whitespace();
+      if (at_end() || peek() != '"') return fail("expected '\"' to start object key");
+      auto key = parse_string();
+      if (!key) return std::unexpected(std::move(key).error());
+      skip_whitespace();
+      if (at_end() || peek() != ':') return fail("expected ':' after object key");
+      ++pos_;
+      skip_whitespace();
+      auto value = parse_value();
+      if (!value) return value;
+      members.emplace_back(std::move(*key), std::move(*value));
+      skip_whitespace();
+      if (at_end()) return fail("unterminated object");
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      if (peek() == '}') {
+        ++pos_;
+        --depth_;
+        return JsonValue::make_object(std::move(members));
+      }
+      return fail("expected ',' or '}' in object");
+    }
+  }
+
+  std::expected<JsonValue, std::string> parse_array() {
+    ++pos_;  // '['
+    ++depth_;
+    JsonValue::Array elements;
+    skip_whitespace();
+    if (!at_end() && peek() == ']') {
+      ++pos_;
+      --depth_;
+      return JsonValue::make_array(std::move(elements));
+    }
+    while (true) {
+      skip_whitespace();
+      auto value = parse_value();
+      if (!value) return value;
+      elements.push_back(std::move(*value));
+      skip_whitespace();
+      if (at_end()) return fail("unterminated array");
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      if (peek() == ']') {
+        ++pos_;
+        --depth_;
+        return JsonValue::make_array(std::move(elements));
+      }
+      return fail("expected ',' or ']' in array");
+    }
+  }
+
+  std::expected<std::string, std::string> parse_string() {
+    ++pos_;  // opening quote
+    std::string out;
+    while (true) {
+      // Append the run up to the next quote, escape or control character
+      // in one piece.
+      const std::size_t run = pos_;
+      while (!at_end() && peek() != '"' && peek() != '\\' &&
+             static_cast<unsigned char>(peek()) >= 0x20) {
+        ++pos_;
+      }
+      out.append(text_.substr(run, pos_ - run));
+      if (at_end()) return fail("unterminated string");
+      const char c = text_[pos_++];
+      if (c == '"') return out;
+      if (c != '\\') {
+        --pos_;
+        return fail("unescaped control character in string");
+      }
+      if (at_end()) return fail("unterminated escape sequence");
+      const char escape = text_[pos_++];
+      switch (escape) {
+        case '"': out.push_back('"'); break;
+        case '\\': out.push_back('\\'); break;
+        case '/': out.push_back('/'); break;
+        case 'b': out.push_back('\b'); break;
+        case 'f': out.push_back('\f'); break;
+        case 'n': out.push_back('\n'); break;
+        case 'r': out.push_back('\r'); break;
+        case 't': out.push_back('\t'); break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') {
+              code |= static_cast<unsigned>(h - '0');
+            } else if (h >= 'a' && h <= 'f') {
+              code |= static_cast<unsigned>(h - 'a' + 10);
+            } else if (h >= 'A' && h <= 'F') {
+              code |= static_cast<unsigned>(h - 'A' + 10);
+            } else {
+              return fail("invalid hex digit in \\u escape");
+            }
+          }
+          // UTF-8 encode the BMP code point (surrogate pairs unsupported —
+          // scenario files are ASCII in practice).
+          if (code < 0x80) {
+            out.push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out.push_back(static_cast<char>(0xc0 | (code >> 6)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+          } else {
+            out.push_back(static_cast<char>(0xe0 | (code >> 12)));
+            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+          }
+          break;
+        }
+        default: return fail("invalid escape character");
+      }
+    }
+  }
+
+  std::expected<JsonValue, std::string> parse_number() {
+    const std::size_t start = pos_;
+    bool integral = true;
+    if (!at_end() && peek() == '-') ++pos_;
+    if (at_end() || !std::isdigit(static_cast<unsigned char>(peek()))) {
+      pos_ = start;
+      return fail("invalid value");
+    }
+    const std::size_t int_part = pos_;
+    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    if (text_[int_part] == '0' && pos_ - int_part > 1) {
+      return fail("leading zeros are not allowed");  // RFC 8259
+    }
+    if (!at_end() && peek() == '.') {
+      integral = false;
+      ++pos_;
+      if (at_end() || !std::isdigit(static_cast<unsigned char>(peek()))) {
+        return fail("digit expected after decimal point");
+      }
+      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    }
+    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
+      integral = false;
+      ++pos_;
+      if (!at_end() && (peek() == '+' || peek() == '-')) ++pos_;
+      if (at_end() || !std::isdigit(static_cast<unsigned char>(peek()))) {
+        return fail("digit expected in exponent");
+      }
+      while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
+    }
+    if (integral) {
+      const bool negative = text_[start] == '-';
+      std::uint64_t magnitude = 0;
+      const std::errc error =
+          std::from_chars(text_.data() + (negative ? start + 1 : start),
+                          text_.data() + pos_, magnitude)
+              .ec;
+      const auto int64_min_magnitude =
+          static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) + 1;
+      if (error == std::errc()) {
+        if (!negative) return JsonValue::make_unsigned(magnitude);
+        if (magnitude <= int64_min_magnitude) {
+          return JsonValue::make_integer(
+              magnitude == int64_min_magnitude
+                  ? std::numeric_limits<std::int64_t>::min()
+                  : -static_cast<std::int64_t>(magnitude));
+        }
+      }
+      // Out-of-range integers fall back to double semantics.
+    }
+    const std::string lexeme(text_.substr(start, pos_ - start));
+    const double parsed = std::strtod(lexeme.c_str(), nullptr);
+    return JsonValue::make_number(parsed);
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;
+};
+
+using ParseError = std::optional<std::string>;
+
+std::string join(const std::string& path, std::string_view key) {
+  return path.empty() ? std::string(key) : path + "." + std::string(key);
+}
+
+/// A field path such as "peers[3].agents[0]", rendered only when an error
+/// names it.
+struct FieldPath {
+  static constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+  std::string_view key;           ///< "" at the document root
+  std::size_t index = kNoIndex;   ///< position in the array under `key`
+  const FieldPath* parent = nullptr;
+
+  [[nodiscard]] std::string str() const {
+    std::string path = join(parent == nullptr ? std::string() : parent->str(), key);
+    if (index != kNoIndex) path += "[" + std::to_string(index) + "]";
+    return path;
+  }
+};
+
+ParseError check_keys(const JsonValue& value, const FieldPath& path,
+                      std::initializer_list<std::string_view> allowed) {
+  for (const JsonValue::Member& member : value.as_object()) {
+    bool known = false;
+    for (const std::string_view key : allowed) {
+      if (member.first == key) {
+        known = true;
+        break;
+      }
+    }
+    if (!known) return path.str() + ": unknown field '" + member.first + "'";
+  }
+  return std::nullopt;
+}
+
+ParseError require_object(const JsonValue& value, const FieldPath& path) {
+  if (value.is_object()) return std::nullopt;
+  return path.str() + ": expected an object, got " +
+         std::string(value.type_name());
+}
+
+ParseError require_string(const JsonValue& object, std::string_view key,
+                          const FieldPath& path, std::string& out) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) return join(path.str(), key) + ": missing required field";
+  if (!value->is_string()) return join(path.str(), key) + ": expected a string";
+  out = value->as_string();
+  return std::nullopt;
+}
+
+ParseError require_time(const JsonValue& object, std::string_view key,
+                        const FieldPath& path, SimTime& out) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) return join(path.str(), key) + ": missing required field";
+  const auto integral = value->is_number() ? value->as_int64() : std::nullopt;
+  if (!integral) return join(path.str(), key) + ": expected an integer";
+  out = *integral;
+  return std::nullopt;
+}
+
+ParseError optional_bool(const JsonValue& object, std::string_view key,
+                         const FieldPath& path, bool& out) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) return std::nullopt;
+  if (!value->is_bool()) return join(path.str(), key) + ": expected true or false";
+  out = value->as_bool();
+  return std::nullopt;
+}
+
+ParseError require_array(const JsonValue& object, std::string_view key,
+                         const FieldPath& path, const JsonValue*& out) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) return join(path.str(), key) + ": missing required field";
+  if (!value->is_array()) return join(path.str(), key) + ": expected an array";
+  out = value;
+  return std::nullopt;
+}
+
+ParseError parse_peer(const JsonValue& value, const FieldPath& path,
+                      SimTime& first_seen, SimTime& last_seen,
+                      bool& ever_dht_server,
+                      std::vector<measure::AgentEvent>& agents) {
+  if (auto error = require_object(value, path)) return error;
+  if (auto error = check_keys(value, path,
+                              {"pid", "first_seen_ms", "last_seen_ms",
+                               "ever_dht_server", "agents", "protocols_ever",
+                               "connected_ips"})) {
+    return error;
+  }
+  std::string pid;
+  if (auto error = require_string(value, "pid", path, pid)) return error;
+  if (auto error = require_time(value, "first_seen_ms", path, first_seen)) {
+    return error;
+  }
+  if (auto error = require_time(value, "last_seen_ms", path, last_seen)) {
+    return error;
+  }
+  if (last_seen < first_seen) {
+    return join(path.str(), "last_seen_ms") + ": must be >= first_seen_ms";
+  }
+  if (auto error = optional_bool(value, "ever_dht_server", path,
+                                 ever_dht_server)) {
+    return error;
+  }
+  if (const JsonValue* list = value.find("agents")) {
+    if (!list->is_array()) {
+      return join(path.str(), "agents") + ": expected an array";
+    }
+    for (std::size_t i = 0; i < list->as_array().size(); ++i) {
+      const JsonValue& entry = list->as_array()[i];
+      const FieldPath entry_path{"agents", i, &path};
+      if (auto error = require_object(entry, entry_path)) return error;
+      if (auto error = check_keys(entry, entry_path, {"at_ms", "agent"})) {
+        return error;
+      }
+      measure::AgentEvent event;
+      if (auto error = require_time(entry, "at_ms", entry_path, event.at)) {
+        return error;
+      }
+      std::string agent;
+      if (auto error = require_string(entry, "agent", entry_path, agent)) {
+        return error;
+      }
+      event.agent = common::Symbol(agent);
+      agents.push_back(event);
+    }
+  }
+  for (const std::string_view key : {"protocols_ever", "connected_ips"}) {
+    if (const JsonValue* list = value.find(key)) {
+      if (!list->is_array()) return join(path.str(), key) + ": expected an array";
+      for (std::size_t i = 0; i < list->as_array().size(); ++i) {
+        if (!list->as_array()[i].is_string()) {
+          return FieldPath{key, i, &path}.str() + ": expected a string";
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+std::string_view first_document(std::string_view text) {
+  std::size_t start = 0;
+  while (start < text.size() &&
+         (text[start] == ' ' || text[start] == '\t' || text[start] == '\n' ||
+          text[start] == '\r')) {
+    ++start;
+  }
+  int depth = 0;
+  bool in_string = false;
+  bool escaped = false;
+  for (std::size_t i = start; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      if (escaped) {
+        escaped = false;
+      } else if (c == '\\') {
+        escaped = true;
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') {
+      in_string = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      --depth;
+      if (depth == 0) return text.substr(start, i - start + 1);
+    }
+  }
+  return text.substr(start);  // unbalanced — let the parser report it
+}
+
+std::expected<measure::Dataset, std::string> parse_trace(std::string_view text) {
+  const auto parsed = Parser(first_document(text)).run();
+  if (!parsed) return std::unexpected("trace: " + parsed.error());
+  const JsonValue& root = *parsed;
+  const FieldPath trace_path{"trace"};
+  const FieldPath root_path;
+  if (auto error = require_object(root, trace_path)) {
+    return std::unexpected(*error);
+  }
+  if (auto error = check_keys(root, trace_path,
+                              {"vantage", "measurement_start_ms",
+                               "measurement_end_ms", "peers", "connections"})) {
+    return std::unexpected(*error);
+  }
+  measure::Dataset dataset;
+  if (auto error = require_string(root, "vantage", root_path, dataset.vantage)) {
+    return std::unexpected(*error);
+  }
+  if (auto error = require_time(root, "measurement_start_ms", root_path,
+                                dataset.measurement_start)) {
+    return std::unexpected(*error);
+  }
+  if (auto error = require_time(root, "measurement_end_ms", root_path,
+                                dataset.measurement_end)) {
+    return std::unexpected(*error);
+  }
+  if (dataset.measurement_end < dataset.measurement_start) {
+    return std::unexpected(
+        "measurement_end_ms: must be >= measurement_start_ms");
+  }
+  const JsonValue* peers = nullptr;
+  if (auto error = require_array(root, "peers", root_path, peers)) {
+    return std::unexpected(*error);
+  }
+  if (peers->as_array().empty()) {
+    return std::unexpected("peers: dataset is empty — nothing to calibrate");
+  }
+  for (std::size_t i = 0; i < peers->as_array().size(); ++i) {
+    const FieldPath path{"peers", i};
+    SimTime first_seen = 0;
+    SimTime last_seen = 0;
+    bool ever_dht_server = false;
+    std::vector<measure::AgentEvent> agents;
+    if (auto error = parse_peer(peers->as_array()[i], path, first_seen,
+                                last_seen, ever_dht_server, agents)) {
+      return std::unexpected(*error);
+    }
+    // The PID string is identity only here; re-intern a synthetic PeerId
+    // per index (PeerIds are opaque hashes, not parseable strings).
+    const measure::PeerIndex index =
+        dataset.intern(p2p::PeerId::from_seed(i), first_seen);
+    measure::PeerRecord& record = dataset.record(index);
+    record.first_seen = first_seen;
+    record.last_seen = last_seen;
+    record.ever_dht_server = ever_dht_server;
+    record.agent_history = std::move(agents);
+  }
+  if (const JsonValue* connections = root.find("connections")) {
+    if (!connections->is_array()) {
+      return std::unexpected("connections: expected an array");
+    }
+    for (std::size_t i = 0; i < connections->as_array().size(); ++i) {
+      const JsonValue& entry = connections->as_array()[i];
+      const FieldPath path{"connections", i};
+      if (auto error = require_object(entry, path)) {
+        return std::unexpected(*error);
+      }
+      if (auto error = check_keys(
+              entry, path, {"peer", "opened_ms", "closed_ms", "direction",
+                            "reason"})) {
+        return std::unexpected(*error);
+      }
+      measure::ConnRecord record;
+      SimTime peer_index = 0;
+      if (auto error = require_time(entry, "peer", path, peer_index)) {
+        return std::unexpected(*error);
+      }
+      if (peer_index < 0 ||
+          static_cast<std::size_t>(peer_index) >= dataset.peer_count()) {
+        return std::unexpected(join(path.str(), "peer") + ": index out of range");
+      }
+      record.peer = static_cast<measure::PeerIndex>(peer_index);
+      if (auto error = require_time(entry, "opened_ms", path, record.opened)) {
+        return std::unexpected(*error);
+      }
+      if (auto error = require_time(entry, "closed_ms", path, record.closed)) {
+        return std::unexpected(*error);
+      }
+      if (record.closed < record.opened) {
+        return std::unexpected(join(path.str(), "closed_ms") +
+                               ": must be >= opened_ms");
+      }
+      for (const std::string_view key : {"direction", "reason"}) {
+        if (const JsonValue* field = entry.find(key)) {
+          if (!field->is_string()) {
+            return std::unexpected(join(path.str(), key) + ": expected a string");
+          }
+        }
+      }
+      dataset.add_connection(record);
+    }
+  } else {
+    // Peer-record-only traces (the JsonExportSink default): approximate
+    // each peer's presence by one connection spanning first..last seen.
+    for (measure::PeerIndex i = 0; i < dataset.peer_count(); ++i) {
+      const measure::PeerRecord& record = dataset.record(i);
+      measure::ConnRecord conn;
+      conn.peer = i;
+      conn.opened = record.first_seen;
+      conn.closed = record.last_seen;
+      dataset.add_connection(conn);
+    }
+  }
+  return dataset;
+}
+
+
+}  // namespace dom
 
 // ---- the malformed-trace corpus --------------------------------------------
 
@@ -612,6 +1208,366 @@ TEST(CalibrationTrace, RejectsMalformedJson) {
   const auto bad = parse_trace("{\"vantage\": ");
   ASSERT_FALSE(bad.has_value());
   EXPECT_EQ(bad.error().rfind("trace: ", 0), 0u) << bad.error();
+}
+
+TEST(CalibrationTrace, SyntaxErrorPositionsCountLeadingBlanks) {
+  // The error is on line 4 of the file; the DOM path counted from the first
+  // non-blank byte and reported 2:37.
+  const std::string text =
+      "\n\n  {\"vantage\": \"v\",\n"
+      "\"measurement_start_ms\": 0, \"measurement_end_ms\": x}";
+  const auto bad = parse_trace(text);
+  ASSERT_FALSE(bad.has_value());
+  EXPECT_EQ(bad.error(), "trace: 4:50: invalid value");
+  EXPECT_EQ(dom::parse_trace(text).error(), "trace: 2:50: invalid value");
+}
+
+TEST(CalibrationTrace, ConnectionsBeforePeersGiveTheSameDataset) {
+  const std::string peers = "\"peers\": [" + peer_json() + ", " + peer_json() + "]";
+  const std::string connections =
+      "\"connections\": [{\"peer\": 1, \"opened_ms\": 1000, \"closed_ms\": 1500}]";
+  const std::string head =
+      "{\"vantage\": \"v\", \"measurement_start_ms\": 0, \"measurement_end_ms\": 9000, ";
+  const auto canonical = parse_trace(head + peers + ", " + connections + "}");
+  const auto reordered = parse_trace(head + connections + ", " + peers + "}");
+  ASSERT_TRUE(canonical.has_value()) << canonical.error();
+  ASSERT_TRUE(reordered.has_value()) << reordered.error();
+  std::ostringstream a;
+  std::ostringstream b;
+  canonical->export_json(a);
+  reordered->export_json(b);
+  EXPECT_EQ(a.str(), b.str());
+  // The range check waits for the peer count, and ranks before the later
+  // checks of the same connection.
+  const auto out_of_range = parse_trace(
+      head + "\"connections\": [{\"peer\": 2, \"opened_ms\": \"x\"}], " + peers + "}");
+  ASSERT_FALSE(out_of_range.has_value());
+  EXPECT_EQ(out_of_range.error(), "connections[0].peer: index out of range");
+}
+
+// ---- differential: streaming parse_trace against the DOM oracle -------------
+
+/// A small trace with every field of the schema, in one of three member
+/// layouts, compact or one member per line.
+std::string oracle_trace(int layout, bool multiline) {
+  std::string peers = "\"peers\": [";
+  for (int i = 0; i < 3; ++i) {
+    const std::string first = std::to_string(1000 * (i + 1));
+    peers += std::string(i == 0 ? "" : ", ") + "{\"pid\": \"QmPeer" + std::to_string(i) +
+             "\", \"first_seen_ms\": " + first + ", \"last_seen_ms\": " +
+             std::to_string(5000 * (i + 1)) + ", \"ever_dht_server\": " +
+             (i == 1 ? "false" : "true") + ", \"agents\": [{\"at_ms\": " + first +
+             ", \"agent\": \"go-ipfs/0.8.0/\"}, {\"at_ms\": " + first +
+             ", \"agent\": \"go-ipfs/0.9.\\u0031/\"}], \"protocols_ever\": "
+             "[\"/ipfs/kad/1.0.0\", \"/ipfs/id/1.0.0\"], \"connected_ips\": "
+             "[\"1.2.3." + std::to_string(i) + "\"]}";
+  }
+  peers += "]";
+  const std::string connections =
+      "\"connections\": [{\"peer\": 0, \"opened_ms\": 1000, \"closed_ms\": 1500, "
+      "\"direction\": \"inbound\", \"reason\": \"none\"}, {\"peer\": 2, "
+      "\"opened_ms\": 3000, \"closed_ms\": 9000, \"direction\": \"outbound\", "
+      "\"reason\": \"trim\"}]";
+  std::string text =
+      "{\"vantage\": \"go-ipfs\", \"measurement_start_ms\": 0, "
+      "\"measurement_end_ms\": 86400000, ";
+  if (layout == 0) text += peers + ", " + connections + "}";
+  if (layout == 1) text += connections + ", " + peers + "}";
+  if (layout == 2) text += peers + "}";
+  if (multiline) {
+    for (std::size_t at = 0; (at = text.find(", \"", at)) != std::string::npos;) {
+      text.replace(at, 2, ",\n  ");
+    }
+  }
+  return text;
+}
+
+/// Value-level rewrites: first-wins duplicates, escaped keys, type swaps,
+/// unknown keys, number edge cases and schema violations.
+const std::vector<std::pair<std::string, std::vector<std::string>>>& rewrites() {
+  static const std::vector<std::pair<std::string, std::vector<std::string>>> table = {
+      {"\"pid\"",
+       {"\"pi\\u0064\"", "\"\\u0070id\"", "\"pid2\"", "\"pid\": 1, \"pid\"",
+        "\"pid\": \"a\", \"pid\""}},
+      {"\"first_seen_ms\": 1000",
+       {"\"first_seen_ms\": 1e3", "\"first_seen_ms\": -0",
+        "\"first_seen_ms\": 9223372036854775808",
+        "\"first_seen_ms\": -9223372036854775808",
+        "\"first_seen_ms\": -9223372036854775809",
+        "\"first_seen_ms\": 18446744073709551616", "\"first_seen_ms\": \"1000\"",
+        "\"first_seen_ms\": null", "\"first_seen_ms\": 1000.0",
+        "\"first_seen_ms\": 1000, \"first_seen_ms\": \"x\"",
+        "\"first_seen_ms\": \"x\", \"first_seen_ms\": 1000",
+        "\"first_seen_ms\": 01000", "\"fir\\u0073t_seen_ms\": 7"}},
+      {"\"last_seen_ms\": 5000",
+       {"\"last_seen_ms\": 500", "\"last_seen_ms\": -0", "\"last_seen_ms\": true",
+        "\"last_seen_ms\": []", "\"last_seen_ms\": 5E+3"}},
+      {"\"ever_dht_server\": true",
+       {"\"ever_dht_server\": 1", "\"ever_dht_server\": \"true\"",
+        "\"ever_dht_server\": null", "\"ever_dht_server\": tru"}},
+      {"\"agents\": [{\"at_ms\": 1000, \"agent\": \"go-ipfs/0.8.0/\"}",
+       {"\"agents\": [5", "\"agents\": [{\"at_ms\": \"1000\", \"agent\": \"a\"}",
+        "\"agents\": [{\"agent\": \"a\"}", "\"agents\": [{\"at_ms\": 1, \"agent\": 7}",
+        "\"agents\": [{\"at_ms\": 1, \"agent\": \"a\", \"x\": 1}",
+        "\"agents\": [{\"at_ms\": 1, \"ag\\u0065nt\": \"\\u00e9\\u4e2d\"}",
+        "\"agents\": {}, \"agents\": [{\"at_ms\": 1, \"agent\": \"a\"}",
+        "\"agents\": [{\"at_ms\": 1, \"agent\": \"a\", \"agent\": 5}"}},
+      {"\"protocols_ever\": [",
+       {"\"protocols_ever\": [null, ", "\"protocols_ever\": [[], ",
+        "\"protocols_ever\": 3, \"protocols_ever\": [",
+        "\"protocols_ever\": [\"\\/x\", "}},
+      {"\"connected_ips\": [\"1.2.3.0\"]",
+       {"\"connected_ips\": \"1.2.3.4\"", "\"connected_ips\": [[\"x\"]]",
+        "\"connected_ips\": []", "\"connected_ips\": [\"a\", 5]"}},
+      {"\"vantage\": \"go-ipfs\"",
+       {"\"vantage\": 1", "\"vantage\": \"a\\u0041\\n\\t\\\"\"",
+        "\"vantage\": null, \"vantage\": \"x\"", "\"v\\u0061ntage\": \"x\"",
+        "\"vantage\": \"\\u\"", "\"vantage\": \"\\ud800\"", "\"vantage\": \"\\q\"",
+        "\"zzz\": 1, \"vantage\": \"x\""}},
+      {"\"measurement_start_ms\": 0",
+       {"\"measurement_start_ms\": 90000000", "\"measurement_start_ms\": -0",
+        "\"measurement_start_ms\": 1e3", "\"measurement_start_ms\": \"0\"",
+        "\"measurement_start_ms\": 0, \"measurement_start_ms\": 99999999999"}},
+      {"\"measurement_end_ms\": 86400000",
+       {"\"measurement_end_ms\": -5", "\"measurement_end_ms\": 86400000.5",
+        "\"measurement_end_ms\": 9223372036854775807", "\"measurement_end_ms\": {}"}},
+      {"\"peers\": [",
+       {"\"peers\": 5, \"peers2\": [", "\"peers\": [7, ", "\"peers\": [[], ",
+        "\"bogus\": 1, \"peers\": [", "\"peers\": [], \"peers\": [",
+        "\"peers\": [{\"pid\": \"Qm\", \"first_seen_ms\": 1, \"last_seen_ms\": 2}, "}},
+      {"\"connections\": [",
+       {"\"connections\": [5, ",
+        "\"connections\": [{\"peer\": -1, \"opened_ms\": 0, \"closed_ms\": 1}, ",
+        "\"connections\": [{\"peer\": 99, \"opened_ms\": 0, \"closed_ms\": 1}, ",
+        "\"connections\": [{\"peer\": 0, \"opened_ms\": 5, \"closed_ms\": 1}, ",
+        "\"connections\": [{\"peer\": 4294967295, \"opened_ms\": 0, \"closed_ms\": 1}, ",
+        "\"connections\": [{\"peer\": 0, \"opened_ms\": 0, \"closed_ms\": 1, "
+        "\"direction\": 5}, ",
+        "\"connections\": [{\"peer\": \"0\"}, ",
+        "\"connections\": [{\"peer\": 9, \"opened_ms\": \"x\", \"closed_ms\": 1}, ",
+        "\"connections\": [{\"peer\": 0, \"x\": 1}, ",
+        "\"connections\": {}, \"connections\": [", "\"connections\": [], \"c\": ["}},
+      {"\"direction\": \"inbound\"",
+       {"\"direction\": 3", "\"direction\": null", "\"reason\": 1, \"direction\": \"x\""}},
+      {"\"reason\": \"trim\"", {"\"reason\": [\"x\"]", "\"reason\": \"none\", \"peer\": 1"}},
+  };
+  return table;
+}
+
+/// One seeded mutant of `text`: 1-3 edits drawn from byte deletes, inserts
+/// and replacements, value rewrites, truncation, deep nesting, leading
+/// blanks and trailing documents.
+std::string mutate(std::string text, std::mt19937_64& rng) {
+  static const std::string kBytes = "{}[]\",:\\ -.0123456789eEtrufalsn\n\t\x01\xff/u";
+  static const std::vector<std::string> kTrailing = {
+      "\n{\"population_samples\": []}\n", "}", "]{", " x", "\n\"\\u\"", "{\"a\":"};
+  static const std::vector<std::string> kLeading = {"\n\n  ", " ", "\t\r\n", "\n"};
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const std::size_t edits = 1 + pick(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = text.empty() ? 0 : pick(text.size());
+    switch (pick(10)) {
+      case 0: if (!text.empty()) text.erase(at, 1); break;
+      case 1: text.insert(at, 1, kBytes[pick(kBytes.size())]); break;
+      case 2: if (!text.empty()) text[at] = kBytes[pick(kBytes.size())]; break;
+      case 3:
+      case 4:
+      case 5: {
+        const auto& [needle, replacements] = rewrites()[pick(rewrites().size())];
+        std::vector<std::size_t> hits;
+        for (std::size_t p = 0; (p = text.find(needle, p)) != std::string::npos; ++p) {
+          hits.push_back(p);
+        }
+        if (!hits.empty()) {
+          text.replace(hits[pick(hits.size())], needle.size(),
+                       replacements[pick(replacements.size())]);
+        }
+        break;
+      }
+      case 6: text.resize(at); break;
+      case 7: {
+        // 128 levels hold values, 129 may be empty, 200 never fit.
+        const std::size_t depth = std::array<std::size_t, 4>{127, 128, 129, 200}[pick(4)];
+        const std::size_t value = text.find(": ", at);
+        if (value != std::string::npos) {
+          text.insert(value + 2, std::string(depth, '[') + std::string(depth, ']') + ", ");
+          text.insert(value, ": 0, \"deep\"");
+        }
+        break;
+      }
+      case 8: text = kLeading[pick(kLeading.size())] + text; break;
+      default: text += kTrailing[pick(kTrailing.size())]; break;
+    }
+  }
+  return text;
+}
+
+/// `error` ("trace: L:C: ...") with its position counted from the first
+/// byte of `text` instead of its first non-blank byte.  Schema errors and
+/// texts without leading blanks are returned unchanged.
+std::string counted_from_the_first_byte(const std::string& error, std::string_view text) {
+  const std::size_t start = text.find_first_not_of(" \t\n\r");
+  const std::string_view blanks = text.substr(0, std::min(start, text.size()));
+  unsigned line = 0;
+  unsigned column = 0;
+  int consumed = 0;
+  if (blanks.empty() ||
+      std::sscanf(error.c_str(), "trace: %u:%u: %n", &line, &column, &consumed) != 2 ||
+      consumed == 0) {
+    return error;
+  }
+  const auto newlines = static_cast<unsigned>(std::count(blanks.begin(), blanks.end(), '\n'));
+  const std::size_t last = blanks.rfind('\n');
+  const auto tail = static_cast<unsigned>(
+      last == std::string_view::npos ? blanks.size() : blanks.size() - last - 1);
+  if (line == 1) column += tail;
+  return "trace: " + std::to_string(line + newlines) + ":" + std::to_string(column) + ": " +
+         error.substr(static_cast<std::size_t>(consumed));
+}
+
+/// A canonical rendering of a DOM value (type, integer views, bits).
+void dump(const common::JsonValue& value, std::string& out) {
+  using common::JsonValue;
+  switch (value.type()) {
+    case JsonValue::Type::kNull: out += 'n'; break;
+    case JsonValue::Type::kBool: out += value.as_bool() ? 't' : 'f'; break;
+    case JsonValue::Type::kNumber: {
+      out += value.is_integer() ? "#i" : "#d";
+      out += std::to_string(std::bit_cast<std::uint64_t>(value.as_double()));
+      const auto signed_value = value.as_int64();
+      const auto unsigned_value = value.as_uint64();
+      out += signed_value ? "s" + std::to_string(*signed_value) : "-";
+      out += unsigned_value ? "u" + std::to_string(*unsigned_value) : "-";
+      break;
+    }
+    case JsonValue::Type::kString:
+      out += "s" + std::to_string(value.as_string().size()) + ":" + value.as_string();
+      break;
+    case JsonValue::Type::kArray:
+      out += '[';
+      for (const JsonValue& element : value.as_array()) dump(element, out);
+      out += ']';
+      break;
+    case JsonValue::Type::kObject:
+      out += '{';
+      for (const auto& [key, member] : value.as_object()) {
+        out += std::to_string(key.size()) + ":" + key;
+        dump(member, out);
+      }
+      out += '}';
+      break;
+  }
+}
+
+/// What the DOM parser (`JsonValue::parse` before the pull reader) and
+/// the one on top of `JsonReader` make of `text`, rendered comparably.
+std::pair<std::string, std::string> both_json_parses(std::string_view text) {
+  const auto render = [](const std::expected<common::JsonValue, std::string>& value) {
+    std::string out;
+    if (value) {
+      dump(*value, out);
+    } else {
+      out = "error " + value.error();
+    }
+    return out;
+  };
+  return {render(dom::Parser(text).run()), render(common::JsonValue::parse(text))};
+}
+
+struct DifferentialTally {
+  std::size_t parsed = 0;
+  std::size_t schema_errors = 0;
+  std::size_t syntax_errors = 0;
+  std::size_t shifted = 0;
+};
+
+/// Both trace paths on `text`: the same export bytes, or the same error
+/// with the one intended position change.
+::testing::AssertionResult same_trace_result(const std::string& text,
+                                             DifferentialTally& tally) {
+  const auto want = dom::parse_trace(text);
+  const auto got = parse_trace(text);
+  if (want.has_value() != got.has_value()) {
+    return ::testing::AssertionFailure()
+           << "DOM " << (want ? "parsed" : want.error()) << ", streaming "
+           << (got ? "parsed" : got.error()) << "\ninput: " << text;
+  }
+  if (want) {
+    ++tally.parsed;
+    std::ostringstream a;
+    std::ostringstream b;
+    want->export_json(a);
+    got->export_json(b);
+    if (a.str() != b.str()) {
+      return ::testing::AssertionFailure() << "export bytes differ\ninput: " << text;
+    }
+    return ::testing::AssertionSuccess();
+  }
+  const std::string expected = counted_from_the_first_byte(want.error(), text);
+  const bool syntax = want.error().rfind("trace: ", 0) == 0 &&
+                      want.error().find("expected an object") == std::string::npos &&
+                      want.error().find("unknown field") == std::string::npos;
+  ++(syntax ? tally.syntax_errors : tally.schema_errors);
+  tally.shifted += expected != want.error();
+  if (got.error() != expected) {
+    return ::testing::AssertionFailure() << "DOM error '" << want.error()
+                                         << "', streaming '" << got.error()
+                                         << "'\ninput: " << text;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(CalibrationTraceOracle, HandPickedInputsMatchTheDomPath) {
+  std::vector<std::string> inputs = {
+      "", "  ", "\n", "[]", "[] x", "5", "5 {}", "5 ", "\"x\" ]", "null", "{}", "{} x",
+      "{\"a\": 1}", "{\"a\"}", "{\"a\" 1}", "{,}", "{\"a\": 1,}", "[1,]", "{\"vantage\": tru}",
+      // A \u escape cut by the splitter's bracket balance reads as truncated.
+      "{\"vantage\": \"\\u\"} {}", "{\"vantage\": \"\\u\"}", "[\"\\u\"]] x", "\"\\u\"{} x",
+      "\"\\u\"{}", "{\"a\": [\"\\u\" ]} x", "{\"a\": [\"\\ux\"]]} x", "{\"a\": \"\\u00\"}",
+      "{\"a\": \"\\u0\"}}", "{\"a\": \"\\u\\\"\"}",
+      std::string(129, '[') + std::string(129, ']'),
+      std::string(129, '[') + "1" + std::string(129, ']'),
+      std::string(130, '[') + std::string(130, ']'),
+      "{\"peers\": " + std::string(200, '[') + std::string(200, ']') + "}",
+  };
+  for (int layout = 0; layout < 3; ++layout) {
+    for (const bool multiline : {false, true}) {
+      const std::string text = oracle_trace(layout, multiline);
+      inputs.push_back(text);
+      for (const std::size_t cut : {text.size() / 3, text.size() / 2, text.size() - 1}) {
+        inputs.push_back(text.substr(0, cut));
+      }
+      inputs.push_back("\n\n  " + text + "\n{\"population_samples\": []}\n");
+    }
+  }
+  DifferentialTally tally;
+  for (const std::string& text : inputs) {
+    EXPECT_TRUE(same_trace_result(text, tally));
+    const auto [dom, streaming] = both_json_parses(text);
+    EXPECT_EQ(dom, streaming) << "input: " << text;
+  }
+  EXPECT_EQ(tally.parsed, 12u);  // six layouts, each also after leading blanks
+}
+
+TEST(CalibrationTraceOracle, SeededMutantsMatchTheDomPath) {
+  constexpr std::size_t kMutants = 3000;
+  std::mt19937_64 rng(20211203);
+  DifferentialTally tally;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kMutants && mismatches < 10; ++i) {
+    const std::string text =
+        mutate(oracle_trace(static_cast<int>(rng() % 3), rng() % 2 == 0), rng);
+    const auto result = same_trace_result(text, tally);
+    EXPECT_TRUE(result) << "mutant " << i;
+    mismatches += !result;
+    const auto [dom, streaming] = both_json_parses(text);
+    EXPECT_EQ(dom, streaming) << "mutant " << i << ": " << text;
+  }
+  // Every class of outcome is exercised, the position change included.
+  EXPECT_GT(tally.parsed, kMutants / 20);
+  EXPECT_GT(tally.schema_errors, kMutants / 10);
+  EXPECT_GT(tally.syntax_errors, kMutants / 10);
+  EXPECT_GT(tally.shifted, 0u);
 }
 
 // ---- the pipeline on a synthetic trace -------------------------------------

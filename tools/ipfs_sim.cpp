@@ -24,8 +24,9 @@
 // option, a scenario or trace that is missing, malformed or (after the
 // overrides) invalid, an unknown builtin name, a `list` DIR that is not a
 // directory — and 1 on a runtime failure: an output file that cannot be
-// opened, a write error, or an engine/runner error.  `validate` exits 1
-// when any file it checks is invalid.
+// opened, a write error, an engine/runner error, or running out of memory
+// ("ipfs_sim run: out of memory").  `validate` exits 1 when any file it
+// checks is invalid.
 //
 // Single-trial runs execute on a `scenario::CampaignEngine` directly;
 // multi-trial sweeps go through `runtime::ParallelTrialRunner`, whose
@@ -38,6 +39,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -647,16 +649,23 @@ int cmd_selftest() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage(std::cerr, 2);
   const std::string command = argv[1];
-  std::vector<std::string> args(argv + 2, argv + argc);
-  if (command == "help" || command == "--help" || command == "-h") {
-    return usage(std::cout, 0);
+  try {
+    std::vector<std::string> args(argv + 2, argv + argc);
+    if (command == "help" || command == "--help" || command == "-h") {
+      return usage(std::cout, 0);
+    }
+    if (command == "list") return cmd_list(args);
+    if (command == "validate") return cmd_validate(args);
+    if (command == "run") return cmd_run(args);
+    if (command == "export") return cmd_export(args);
+    if (command == "calibrate") return cmd_calibrate(args);
+    if (command == "selftest") return cmd_selftest();
+  } catch (const std::bad_alloc&) {
+    // A backstop, not an admission check: the run was already too large for
+    // the memory it may use.  Unwinding has freed what it held.
+    std::cerr << "ipfs_sim " << command << ": out of memory\n";
+    return 1;
   }
-  if (command == "list") return cmd_list(args);
-  if (command == "validate") return cmd_validate(args);
-  if (command == "run") return cmd_run(args);
-  if (command == "export") return cmd_export(args);
-  if (command == "calibrate") return cmd_calibrate(args);
-  if (command == "selftest") return cmd_selftest();
   std::cerr << "ipfs_sim: unknown command '" << command << "'\n";
   return usage(std::cerr, 2);
 }
